@@ -8,7 +8,8 @@
    expands frontiers across a Search.Pool of that many domains. The
    determinism contract (DESIGN.md) means the discovered costs are equal
    across rows — only wall clock and (for A-star) states examined may move.
-   A final section races the portfolio.
+   A final section races the portfolio. The bench exits 1 if any row's
+   solved count or total cost differs from the jobs=1 row.
 
    Speedup is physical parallelism: on a single-core container every
    row measures ~1x (the pool then only adds coordination overhead);
@@ -52,6 +53,10 @@ let run_workload algorithm heuristic jobs pairs =
     total_cost = !total_cost;
   }
 
+(* Set when any row breaks the determinism contract; the bench then
+   exits non-zero so CI fails instead of printing a warning. *)
+let violated = ref false
+
 let bench_algorithm name algorithm heuristic jobs_list pairs =
   Printf.printf "\n%s (%d BAMM pairs, heuristic %s)\n" name
     (List.length pairs)
@@ -69,10 +74,12 @@ let bench_algorithm name algorithm heuristic jobs_list pairs =
             m
         | Some b -> b
       in
-      if m.solved <> base.solved || m.total_cost <> base.total_cost then
+      if m.solved <> base.solved || m.total_cost <> base.total_cost then begin
+        violated := true;
         Printf.printf
           "  !! determinism contract violated: %d solved/cost %d vs %d/%d\n"
-          m.solved m.total_cost base.solved base.total_cost;
+          m.solved m.total_cost base.solved base.total_cost
+      end;
       Printf.printf "  %-6d %10.3f %8d %10d %8d %6.2fx\n" jobs m.seconds
         m.solved m.examined m.total_cost
         (base.seconds /. Float.max 1e-9 m.seconds))
@@ -117,4 +124,8 @@ let () =
     pairs;
   bench_algorithm "A*" Tupelo.Discover.Astar Heuristics.Heuristic.h1 jobs_list
     pairs;
-  bench_portfolio (List.fold_left max 1 jobs_list) pairs
+  bench_portfolio (List.fold_left max 1 jobs_list) pairs;
+  if !violated then begin
+    prerr_endline "parallel_bench: determinism contract violated";
+    exit 1
+  end

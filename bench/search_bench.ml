@@ -53,10 +53,16 @@ let reps = env_int "TUPELO_BENCH_SEARCH_REPS" 5
 let closed_cap = 2000
 let goal = Tupelo.Goal.Superset
 
-type algorithm = Greedy | Beam of int
+type algorithm = Search.Frontier_search.policy =
+  | Greedy
+  | Bfs
+  | Astar
+  | Beam of int
 
 let algorithm_label = function
   | Greedy -> "greedy"
+  | Bfs -> "bfs"
+  | Astar -> "astar"
   | Beam w -> Printf.sprintf "beam%d" w
 
 type side = {
@@ -186,13 +192,8 @@ let run_baseline ~registry ~target ~budget alg source =
             (Lazy.force s.bprofile))
     in
     let result =
-      match alg with
-      | Greedy ->
-          let module G = Search.Greedy.Make (Sp) in
-          G.search ~budget ~heuristic:estimate (base_state source)
-      | Beam width ->
-          let module B = Search.Beam.Make (Sp) in
-          B.search ~budget ~width ~heuristic:estimate (base_state source)
+      let module F = Search.Frontier_search.Make (Sp) in
+      F.search ~budget alg ~heuristic:estimate (base_state source)
     in
     result.Search.Space.stats
   in
@@ -246,13 +247,8 @@ let run_fingerprint ~registry ~target ~budget alg source =
     in
     let root = Tupelo.State.of_database source in
     let result =
-      match alg with
-      | Greedy ->
-          let module G = Search.Greedy.Make (Sp) in
-          G.search ~budget ~heuristic:estimate root
-      | Beam width ->
-          let module B = Search.Beam.Make (Sp) in
-          B.search ~budget ~width ~heuristic:estimate root
+      let module F = Search.Frontier_search.Make (Sp) in
+      F.search ~budget alg ~heuristic:estimate root
     in
     result.Search.Space.stats
   in

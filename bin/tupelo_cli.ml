@@ -673,22 +673,13 @@ let serve_cmd_run host port queue workers jobs budget timeout_ms
         ~cache_shards ~frontier_capacity ~frontier_ttl_ms
         ~search_telemetry:(not no_search_telemetry) ?trace_sink ()
     in
-    (* Report the bound address before blocking: scripts wait for this
-       line, then talk to the port (which matters with --port 0). *)
-    let t = Server.Daemon.start config in
-    Printf.printf "tupelo server listening on %s:%d\n%!" host
-      (Server.Daemon.port t);
-    let handle = Sys.Signal_handle (fun _ -> Server.Daemon.request_stop t) in
-    let prev_term = Sys.signal Sys.sigterm handle in
-    let prev_int = Sys.signal Sys.sigint handle in
-    Fun.protect
-      ~finally:(fun () ->
-        Sys.set_signal Sys.sigterm prev_term;
-        Sys.set_signal Sys.sigint prev_int)
-      (fun () ->
-        Server.Daemon.await_stop_request t;
-        print_endline "shutting down: draining in-flight requests";
-        Server.Daemon.stop t);
+    (* Report the bound address once the server is up and its signal
+       handlers are installed: scripts wait for this line, then talk to
+       the port (which matters with --port 0) or signal the process. *)
+    Server.Daemon.run config ~on_ready:(fun t ->
+        Printf.printf "tupelo server listening on %s:%d\n%!" host
+          (Server.Daemon.port t));
+    print_endline "shut down: in-flight requests drained";
     (match agg with
     | Some a ->
         print_newline ();

@@ -1,9 +1,9 @@
 (** A shared-nothing worker pool on OCaml 5 domains, with work stealing.
 
-    Built for the parallel frontier expansion of {!Beam} and {!Astar}:
-    a frontier's successor generation and heuristic scoring fan out
-    across domains while goal tests and deduplication stay sequential
-    and deterministic (see DESIGN.md, "Parallel engine").
+    Built for the parallel frontier expansion of {!Frontier_search}'s
+    beam and A*: a frontier's successor generation and heuristic scoring
+    fan out across domains while goal tests and deduplication stay
+    sequential and deterministic (see DESIGN.md, "Parallel engine").
 
     A pool of [domains] workers spawns [domains - 1] long-lived domains;
     the caller of {!parallel_map} participates as the remaining worker,

@@ -32,7 +32,8 @@ module type S = sig
 
   val key : state -> Key.t
   (** Canonical identity; two states with equal keys are identical.
-      Used for on-path cycle detection (IDA*, RBFS) and A-star closed sets. *)
+      Used for on-path cycle detection (IDA*, RBFS) and the frontier
+      engines' dedup table. *)
 
   val successors : state -> (action * state) list
   (** All states one transformation away. Order matters only for
@@ -79,16 +80,17 @@ type ('state, 'action) witness = {
   w_cost : int;  (** g: actions from the root *)
 }
 
-(** A resumable frontier: everything a frontier-based algorithm (A*,
-    greedy, beam, BFS) needs to continue a budget-exceeded or cancelled
-    search where it stopped. [snap_nodes] are the open nodes in the
-    order the engine would have considered them (paths in application
-    order); [snap_closed] transplants the dedup table — keys already
-    enqueued or expanded, with the best g known for each (0 where the
-    algorithm tracks membership only); [snap_checked] is beam-specific:
-    the number of head nodes of the snapshot already goal-tested in the
-    interrupted sweep, skipped on resume so the examined count continues
-    exactly. *)
+(** A resumable frontier: everything {!Frontier_search} (A*, greedy,
+    beam, BFS) needs to continue a budget-exceeded or cancelled search
+    where it stopped. [snap_nodes] are the open nodes in the order the
+    engine would have considered them (paths in application order);
+    [snap_closed] transplants the dedup table — keys already enqueued or
+    expanded, each with the smallest g it was reached at. Only A* reads
+    that g (to reopen a key reached more cheaply); greedy, BFS and beam
+    never reopen a key and read an entry as membership, whatever its g.
+    [snap_checked] is beam-specific: the number of head nodes of the
+    snapshot already goal-tested in the interrupted sweep, skipped on
+    resume so the examined count continues exactly. *)
 type ('state, 'action, 'key) snapshot = {
   snap_nodes : ('action list * 'state) list;
   snap_closed : ('key * int) list;

@@ -1316,7 +1316,7 @@ let stop t =
         Telemetry.flush t.tel
       end)
 
-let run cfg =
+let run ?(on_ready = ignore) cfg =
   let t = start cfg in
   let handle = Sys.Signal_handle (fun _ -> request_stop t) in
   let prev_term = Sys.signal Sys.sigterm handle in
@@ -1326,5 +1326,9 @@ let run cfg =
       Sys.set_signal Sys.sigterm prev_term;
       Sys.set_signal Sys.sigint prev_int)
     (fun () ->
+      (* Only now may anyone learn that the server is up: a signal sent
+         in reaction to [on_ready] finds the handlers installed and
+         drains instead of killing the process. *)
+      on_ready t;
       await_stop_request t;
       stop t)

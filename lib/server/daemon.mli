@@ -133,5 +133,10 @@ val stop : t -> unit
     reactor and all worker domains are joined and telemetry is
     flushed. *)
 
-val run : config -> unit
-(** {!start}, then block until SIGTERM or SIGINT, then {!stop}. *)
+val run : ?on_ready:(t -> unit) -> config -> unit
+(** {!start}, install SIGTERM and SIGINT handlers that {!request_stop},
+    call [on_ready] (default: nothing), block until a stop is requested,
+    then {!stop} and restore the previous handlers. [on_ready] is where
+    a caller announces the server (e.g. prints its port): it runs only
+    once the handlers are in place, so a signal sent in response to the
+    announcement drains the server instead of killing the process. *)

@@ -162,68 +162,50 @@ type tracker = {
   tr_telemetry : Telemetry.t;
 }
 
+(* A candidate incumbent for [state], reached by [ops] from the source.
+   Called under the tracker's lock. *)
+let incumbent_of t ~entrant ~ops ~h state =
+  let cov = t.tr_coverage state in
+  let covered, total = Goal.coverage_totals cov in
+  {
+    inc_ops = ops;
+    inc_cost = List.length ops;
+    inc_h = h;
+    inc_coverage = cov;
+    inc_covered = covered;
+    inc_total = total;
+    inc_entrant = entrant;
+    inc_seq = t.tr_obs;
+  }
+
+let tracker_report t inc =
+  t.tr_best <- Some inc;
+  t.tr_best_cov <- inc.inc_covered;
+  Telemetry.count t.tr_telemetry "discover.incumbents" 1;
+  t.tr_report inc
+
 let tracker_observe t ~entrant ~estimate
     (w : (State.t, Fira.Op.t) Search.Space.witness) =
   let h = estimate w.Search.Space.w_state in
-  Mutex.lock t.tr_mutex;
-  t.tr_obs <- t.tr_obs + 1;
-  if h < t.tr_best_h then begin
-    t.tr_best_h <- h;
-    let cov = t.tr_coverage w.Search.Space.w_state in
-    let covered, total = Goal.coverage_totals cov in
-    if covered >= t.tr_best_cov then begin
-      t.tr_best_cov <- covered;
-      let inc =
-        {
-          inc_ops = t.tr_prefix @ List.rev w.Search.Space.w_path_rev;
-          inc_cost = List.length t.tr_prefix + w.Search.Space.w_cost;
-          inc_h = h;
-          inc_coverage = cov;
-          inc_covered = covered;
-          inc_total = total;
-          inc_entrant = entrant;
-          inc_seq = t.tr_obs;
-        }
-      in
-      t.tr_best <- Some inc;
-      Telemetry.count t.tr_telemetry "discover.incumbents" 1;
-      t.tr_report inc
-    end
-  end;
-  Mutex.unlock t.tr_mutex
+  Mutex.protect t.tr_mutex (fun () ->
+      t.tr_obs <- t.tr_obs + 1;
+      if h < t.tr_best_h then begin
+        t.tr_best_h <- h;
+        let ops = t.tr_prefix @ List.rev w.Search.Space.w_path_rev in
+        let inc = incumbent_of t ~entrant ~ops ~h w.Search.Space.w_state in
+        if inc.inc_covered >= t.tr_best_cov then tracker_report t inc
+      end)
 
 (* The goal state closes the stream: reported unconditionally with h = 0
    and full coverage, so the final incumbent always equals the returned
    mapping. *)
 let tracker_final t ~entrant ~ops final =
-  Mutex.lock t.tr_mutex;
-  t.tr_obs <- t.tr_obs + 1;
-  let cov = t.tr_coverage final in
-  let covered, total = Goal.coverage_totals cov in
-  let inc =
-    {
-      inc_ops = ops;
-      inc_cost = List.length ops;
-      inc_h = 0;
-      inc_coverage = cov;
-      inc_covered = covered;
-      inc_total = total;
-      inc_entrant = entrant;
-      inc_seq = t.tr_obs;
-    }
-  in
-  t.tr_best <- Some inc;
-  t.tr_best_cov <- covered;
-  t.tr_best_h <- 0;
-  Telemetry.count t.tr_telemetry "discover.incumbents" 1;
-  t.tr_report inc;
-  Mutex.unlock t.tr_mutex
+  Mutex.protect t.tr_mutex (fun () ->
+      t.tr_obs <- t.tr_obs + 1;
+      t.tr_best_h <- 0;
+      tracker_report t (incumbent_of t ~entrant ~ops ~h:0 final))
 
-let tracker_best t =
-  Mutex.lock t.tr_mutex;
-  let b = t.tr_best in
-  Mutex.unlock t.tr_mutex;
-  b
+let tracker_best t = Mutex.protect t.tr_mutex (fun () -> t.tr_best)
 
 (* The default portfolio: diverse (algorithm × heuristic) entrants. RBFS
    and IDA+TT are the paper's strongest configurations; A* and Greedy
@@ -265,9 +247,59 @@ let sum_stats ~iterations ~elapsed_s results =
 let proposed_event op = "moves.proposed." ^ Fira.Op.kind_name op
 let applied_event op = "moves.applied." ^ Fira.Op.kind_name op
 
-let discover_run ?(registry = Fira.Semfun.empty_registry)
-    ?(stop = Search.Space.never_stop) ?(warm_start = []) ?(anytime = false)
-    ?on_incumbent ?resume config ~source ~target =
+let frontier_policy : algorithm -> Search.Frontier_search.policy = function
+  | Greedy -> Greedy
+  | Bfs -> Bfs
+  | Astar -> Astar
+  | Beam w -> Beam w
+  | (Ida | Ida_tt | Rbfs | Portfolio) as a ->
+      invalid_arg ("Discover: no frontier policy for " ^ algorithm_name a)
+
+(* ------------------------------------------------------------------ *)
+(* A run in three stages: prepare (partial target, warm prefix, resume *)
+(* replay), run (one engine or the portfolio), report.                 *)
+(* ------------------------------------------------------------------ *)
+
+type snapshot =
+  (State.t, Fira.Op.t, Relational.Fingerprint.t) Search.Space.snapshot
+
+type prepared = {
+  algorithm : algorithm;  (** the snapshot's on resume *)
+  target_info : Moves.target_info;
+  target_profile : Heuristics.Profile.t;
+  moves_config : Moves.config;
+  root : State.t;  (** the source with the warm prefix applied *)
+  warm_prefix : Fira.Op.t list;
+  resume_snap : snapshot option;
+}
+
+(* Replay [ops] from [st] under the move generator's syntactic semantics
+   and cell bound, so the states are bit-identical (fingerprint and all)
+   to search-built ones. Stops at the first operator that does not
+   apply or would exceed the bound, or at a state where [halt] holds.
+   Returns the applied prefix, the state reached and whether every
+   operator applied. *)
+let replay_ops ~registry ~max_cells ?(halt = fun _ -> false) st ops =
+  let rec go acc st = function
+    | [] -> (List.rev acc, st, true)
+    | _ when halt st -> (List.rev acc, st, false)
+    | op :: rest -> (
+        match
+          Fira.Eval.apply_interned_delta ~semantics:`Syntactic registry op
+            (State.idb st)
+        with
+        | exception
+            ( Fira.Eval.Error _ | Relational.Relation.Error _
+            | Relational.Database.Error _ ) ->
+            (List.rev acc, st, false)
+        | idb', delta ->
+            if State.total_cells st + Fira.Eval.idelta_cells delta > max_cells
+            then (List.rev acc, st, false)
+            else go (op :: acc) (State.of_isuccessor st delta idb') rest)
+  in
+  go [] st ops
+
+let prepare ~registry ~warm_start ?resume config ~source ~target =
   (* Partial goals: restrict the target to the requested relations before
      anything else looks at it — the goal test, the move generator and
      the heuristic profile then all work toward the sub-target. *)
@@ -291,11 +323,10 @@ let discover_run ?(registry = Fira.Semfun.empty_registry)
      (relative to the warm-started root), so the engines' recomputed g
      values (path lengths) agree with the transplanted dedup tables. The
      caller's warm start is ignored. *)
-  let algorithm =
-    match resume with Some fr -> fr.fr_algorithm | None -> config.algorithm
-  in
-  let warm_start =
-    match resume with Some fr -> fr.fr_prefix | None -> warm_start
+  let algorithm, warm_start =
+    match resume with
+    | Some fr -> (fr.fr_algorithm, fr.fr_prefix)
+    | None -> (config.algorithm, warm_start)
   in
   Log.debug (fun m ->
       m "discover: %s/%s goal=%s budget=%d jobs=%d source=%d rels target=%d rels"
@@ -306,10 +337,137 @@ let discover_run ?(registry = Fira.Semfun.empty_registry)
         (Relational.Database.size source)
         (Relational.Database.size target));
   let target_info = Moves.target_info target in
-  let target_profile = Heuristics.Profile.of_database target in
-  let goal_mode = config.goal in
+  let moves_config = { config.moves with goal = config.goal } in
+  let replay =
+    replay_ops ~registry ~max_cells:moves_config.Moves.max_state_cells
+  in
+  let root = State.of_database source in
+  (* The root is the only state fingerprinted from scratch; successors are
+     all maintained incrementally (see [Moves.successors]). *)
+  Telemetry.count config.telemetry "fingerprint.full" 1;
+  (* Warm start: apply the longest applicable prefix of the supplied
+     program (a normalized cached mapping for a near-miss pair, say) and
+     search from the resulting state instead of the source. It stops at
+     the first inapplicable operator, at the cell bound, or as soon as
+     the goal is reached — a drifted pair whose cached program still
+     applies ends the search at its root. *)
+  let warm_prefix, root =
+    match warm_start with
+    | [] -> ([], root)
+    | ops ->
+        let at_goal st =
+          Goal.reached_interned config.goal
+            ~target:(Moves.target_idb target_info)
+            (State.idb st)
+        in
+        let prefix, st, _ = replay ~halt:at_goal root ops in
+        Telemetry.count config.telemetry "discover.warm_ops"
+          (List.length prefix);
+        Log.debug (fun m ->
+            m "warm start: applied %d/%d prefix operators"
+              (List.length prefix) (List.length ops));
+        (prefix, st)
+  in
+  (* Resume: rebuild live open nodes by replaying each prefix-free path
+     from the warm-started root. A path that no longer applies is
+     dropped — the search just re-derives whatever it led to. *)
+  let resume_snap =
+    Option.map
+      (fun fr ->
+        let dropped_checked = ref 0 in
+        let nodes =
+          List.filter_map
+            (fun (i, path) ->
+              match replay root path with
+              | _, st, true -> Some (path, st)
+              | _, _, false ->
+                  (* A dropped node inside the already-goal-tested prefix
+                     shrinks the skip count, so whichever node slides
+                     into its slot still gets goal-tested. *)
+                  if i < fr.fr_checked then incr dropped_checked;
+                  Telemetry.count config.telemetry "discover.resume.dropped" 1;
+                  None)
+            (List.mapi (fun i path -> (i, path)) fr.fr_nodes)
+        in
+        {
+          Search.Space.snap_nodes = nodes;
+          snap_closed = fr.fr_closed;
+          snap_checked =
+            min (max 0 (fr.fr_checked - !dropped_checked)) (List.length nodes);
+        })
+      resume
+  in
+  {
+    algorithm;
+    target_info;
+    target_profile = Heuristics.Profile.of_database target;
+    moves_config;
+    root;
+    warm_prefix;
+    resume_snap;
+  }
+
+let make_tracker ?on_incumbent config p =
+  {
+    tr_mutex = Mutex.create ();
+    tr_obs = 0;
+    tr_best_h = max_int;
+    (* -1 so the first observed state always reports, even with zero
+       coverage: the stream opens with the root. *)
+    tr_best_cov = -1;
+    tr_best = None;
+    tr_report = Option.value on_incumbent ~default:ignore;
+    tr_coverage =
+      (fun st ->
+        Goal.coverage_interned config.goal
+          ~target:(Moves.target_idb p.target_info)
+          (State.idb st));
+    tr_prefix = p.warm_prefix;
+    tr_telemetry = config.telemetry;
+  }
+
+let to_frontier ~warm_prefix alg (snap : snapshot) =
+  let nodes = take_at_most frontier_nodes_cap snap.Search.Space.snap_nodes in
+  {
+    fr_algorithm = alg;
+    (* Paths are prefix-free — the warm prefix travels separately and is
+       re-applied on resume before the paths replay, so the resumed
+       engine's g values (path lengths) match the closed set's, and the
+       prefix is prepended only when a mapping is reported. *)
+    fr_nodes = List.map fst nodes;
+    fr_prefix = warm_prefix;
+    fr_closed =
+      take_at_most frontier_closed_cap
+        (* When the node cap bites, release the dropped nodes' dedup
+           entries so a resumed search may at least re-admit them if
+           another path re-derives them — their keys would otherwise
+           prune them forever. The engines re-register the retained
+           nodes' own keys on resume, so shared keys are safe. *)
+        (match drop_at_most frontier_nodes_cap snap.Search.Space.snap_nodes with
+        | [] -> snap.Search.Space.snap_closed
+        | dropped ->
+            let module FT = Hashtbl.Make (Relational.Fingerprint) in
+            let dk = FT.create (List.length dropped) in
+            List.iter
+              (fun (_, st) -> FT.replace dk (State.fingerprint st) ())
+              dropped;
+            List.filter
+              (fun (k, _) -> not (FT.mem dk k))
+              snap.Search.Space.snap_closed);
+    fr_checked = min snap.Search.Space.snap_checked (List.length nodes);
+  }
+
+(* The run stage's answer: the result to report under [name], and the
+   checkpoint to hand back on a give-up. A portfolio without a winner
+   reports a synthesized result carrying the summed stats. *)
+type ran = {
+  name : string;
+  result : (State.t, Fira.Op.t) Search.Space.result;
+  frontier : frontier option;
+}
+
+let run_engine ~registry ~stop ~anytime ?tracker config p =
   let telemetry = config.telemetry in
-  let moves_config = { config.moves with goal = goal_mode } in
   let module Sp = struct
     type state = State.t
     type action = Fira.Op.t
@@ -320,7 +478,7 @@ let discover_run ?(registry = Fira.Semfun.empty_registry)
 
     let successors state =
       let succs =
-        Moves.successors ~telemetry moves_config registry target_info state
+        Moves.successors ~telemetry p.moves_config registry p.target_info state
       in
       if Telemetry.enabled telemetry then
         List.iter
@@ -329,8 +487,8 @@ let discover_run ?(registry = Fira.Semfun.empty_registry)
       succs
 
     let is_goal state =
-      Goal.reached_interned goal_mode
-        ~target:(Moves.target_idb target_info)
+      Goal.reached_interned config.goal
+        ~target:(Moves.target_idb p.target_info)
         (State.idb state)
   end in
   (* IDA* and RBFS re-visit states across iterations/backtracks; heuristic
@@ -354,13 +512,13 @@ let discover_run ?(registry = Fira.Semfun.empty_registry)
       let eval =
         match heuristic.Heuristics.Heuristic.cosine_k with
         | Some k ->
-            let tvec = Heuristics.Profile.vector target_profile in
+            let tvec = Heuristics.Profile.vector p.target_profile in
             fun state ->
               Heuristics.Heuristic.cosine_scaled ~k
                 (State.cosine_distance ~tvec state)
         | None ->
             fun state ->
-              heuristic.Heuristics.Heuristic.estimate ~target:target_profile
+              heuristic.Heuristics.Heuristic.estimate ~target:p.target_profile
                 (State.profile state)
       in
       fun state ->
@@ -368,8 +526,10 @@ let discover_run ?(registry = Fira.Semfun.empty_registry)
             Telemetry.timed tel "heuristic.eval" (fun () -> eval state))
     end
   in
-  let run_algorithm ?(stop = stop) ?pool ?tracker ?resume ?snapshot ~entrant
-      ~telemetry:tel alg heuristic root =
+  (* One entrant: [alg] with [heuristic], checkpointing into [slot] when
+     the run is anytime. *)
+  let run_algorithm ?(stop = stop) ?pool ?resume ~slot ~entrant ~telemetry:tel
+      alg heuristic =
     let estimate = estimate_for tel heuristic in
     (* Anytime observation: every goal-tested state flows through the
        shared incumbent tracker, scored with this entrant's own memoized
@@ -377,252 +537,35 @@ let discover_run ?(registry = Fira.Semfun.empty_registry)
     let watch =
       Option.map (fun t w -> tracker_observe t ~entrant ~estimate w) tracker
     in
+    let budget = config.budget and root = p.root in
     match alg with
     | Ida ->
         let module I = Search.Ida.Make (Sp) in
-        I.search ~stop ~telemetry:tel ~budget:config.budget ?watch
-          ~heuristic:estimate root
+        I.search ~stop ~telemetry:tel ~budget ?watch ~heuristic:estimate root
     | Ida_tt ->
         let module I = Search.Ida_tt.Make (Sp) in
-        I.search ~stop ~telemetry:tel ~budget:config.budget ?watch
-          ~heuristic:estimate root
+        I.search ~stop ~telemetry:tel ~budget ?watch ~heuristic:estimate root
     | Rbfs ->
         let module R = Search.Rbfs.Make (Sp) in
-        R.search ~stop ~telemetry:tel ~budget:config.budget ?watch
-          ~heuristic:estimate root
-    | Astar ->
-        let module A = Search.Astar.Make (Sp) in
-        A.search ~stop ~telemetry:tel ?pool ~budget:config.budget ?watch
-          ?resume ?snapshot ~heuristic:estimate root
-    | Greedy ->
-        let module G = Search.Greedy.Make (Sp) in
-        G.search ~stop ~telemetry:tel ~budget:config.budget ?watch ?resume
-          ?snapshot ~heuristic:estimate root
-    | Beam width ->
-        let module B = Search.Beam.Make (Sp) in
-        B.search ~stop ~telemetry:tel ?pool ~budget:config.budget ~width
-          ?watch ?resume ?snapshot ~heuristic:estimate root
-    | Bfs ->
-        let module B = Search.Bfs.Make (Sp) in
-        B.search ~stop ~telemetry:tel ~budget:config.budget ?watch ?resume
-          ?snapshot root
+        R.search ~stop ~telemetry:tel ~budget ?watch ~heuristic:estimate root
+    | Astar | Greedy | Beam _ | Bfs ->
+        let module F = Search.Frontier_search.Make (Sp) in
+        let snapshot =
+          if anytime then
+            Some
+              (fun snap ->
+                slot := Some (to_frontier ~warm_prefix:p.warm_prefix alg snap))
+          else None
+        in
+        F.search ~stop ~telemetry:tel ?pool ~budget ?watch ?resume ?snapshot
+          (frontier_policy alg) ~heuristic:estimate root
     | Portfolio ->
         invalid_arg "Discover: Portfolio cannot be an entrant of itself"
   in
-  let root = State.of_database source in
-  (* The root is the only state fingerprinted from scratch; successors are
-     all maintained incrementally (see [Moves.successors]). *)
-  Telemetry.count telemetry "fingerprint.full" 1;
-  (* Warm start: apply the longest applicable prefix of the supplied
-     program (a normalized cached mapping for a near-miss pair, say) and
-     search from the resulting state instead of the source. The prefix
-     runs under the same syntactic semantics as the move generator, so
-     the goal test and successor dedup agree with search-built states;
-     it stops at the first inapplicable operator, at the cell bound, or
-     as soon as the goal is reached — a drifted pair whose cached
-     program still applies ends the search at its root. *)
-  let warm_prefix, root =
-    match warm_start with
-    | [] -> ([], root)
-    | ops ->
-        let at_goal st =
-          Goal.reached_interned goal_mode
-            ~target:(Moves.target_idb target_info)
-            (State.idb st)
-        in
-        let rec go acc st = function
-          | [] -> (List.rev acc, st)
-          | op :: rest -> (
-              if at_goal st then (List.rev acc, st)
-              else
-                match
-                  Fira.Eval.apply_interned_delta ~semantics:`Syntactic
-                    registry op (State.idb st)
-                with
-                | exception Fira.Eval.Error _ -> (List.rev acc, st)
-                | exception Relational.Relation.Error _ ->
-                    (List.rev acc, st)
-                | exception Relational.Database.Error _ ->
-                    (List.rev acc, st)
-                | idb', delta ->
-                    if
-                      State.total_cells st + Fira.Eval.idelta_cells delta
-                      > moves_config.Moves.max_state_cells
-                    then (List.rev acc, st)
-                    else
-                      go (op :: acc) (State.of_isuccessor st delta idb') rest)
-        in
-        let prefix, st = go [] root ops in
-        Telemetry.count telemetry "discover.warm_ops" (List.length prefix);
-        Log.debug (fun m ->
-            m "warm start: applied %d/%d prefix operators"
-              (List.length prefix) (List.length ops));
-        (prefix, st)
-  in
-  let tracker =
-    if not anytime then None
-    else
-      Some
-        {
-          tr_mutex = Mutex.create ();
-          tr_obs = 0;
-          tr_best_h = max_int;
-          (* -1 so the first observed state always reports, even with
-             zero coverage: the stream opens with the root. *)
-          tr_best_cov = -1;
-          tr_best = None;
-          tr_report =
-            (match on_incumbent with Some f -> f | None -> ignore);
-          tr_coverage =
-            (fun st ->
-              Goal.coverage_interned goal_mode
-                ~target:(Moves.target_idb target_info)
-                (State.idb st));
-          tr_prefix = warm_prefix;
-          tr_telemetry = telemetry;
-        }
-  in
-  let to_frontier alg
-      (snap :
-        (State.t, Fira.Op.t, Relational.Fingerprint.t) Search.Space.snapshot)
-      =
-    let nodes = take_at_most frontier_nodes_cap snap.Search.Space.snap_nodes in
-    {
-      fr_algorithm = alg;
-      (* Paths are prefix-free — the warm prefix travels separately and
-         is re-applied on resume before the paths replay, so the resumed
-         engine's g values (path lengths) match the closed set's, and
-         the prefix is prepended only when a mapping is reported. *)
-      fr_nodes = List.map (fun (path, _) -> path) nodes;
-      fr_prefix = warm_prefix;
-      fr_closed =
-        take_at_most frontier_closed_cap
-          (* When the node cap bites, release the dropped nodes' dedup
-             entries so a resumed search may at least re-admit them if
-             another path re-derives them — their keys would otherwise
-             prune them forever. The engines re-register the retained
-             nodes' own keys on resume, so shared keys are safe. *)
-          (match
-             drop_at_most frontier_nodes_cap snap.Search.Space.snap_nodes
-           with
-          | [] -> snap.Search.Space.snap_closed
-          | dropped ->
-              let module FT = Hashtbl.Make (Relational.Fingerprint) in
-              let dk = FT.create (List.length dropped) in
-              List.iter
-                (fun (_, st) -> FT.replace dk (State.fingerprint st) ())
-                dropped;
-              List.filter
-                (fun (k, _) -> not (FT.mem dk k))
-                snap.Search.Space.snap_closed);
-      fr_checked = min snap.Search.Space.snap_checked (List.length nodes);
-    }
-  in
-  let resume_snap =
-    match resume with
-    | None -> None
-    | Some fr ->
-        (* Rebuild live open nodes by replaying each prefix-free path
-           from the warm-started root (the snapshot's own prefix was
-           re-applied above) under the same syntactic semantics the move
-           generator uses, so the resumed states are bit-identical
-           (fingerprint and all) to the captured ones. A path that no
-           longer applies is dropped — the search just re-derives
-           whatever it led to. *)
-        let replay path =
-          let rec go st = function
-            | [] -> Some st
-            | op :: rest -> (
-                match
-                  Fira.Eval.apply_interned_delta ~semantics:`Syntactic
-                    registry op (State.idb st)
-                with
-                | exception Fira.Eval.Error _ -> None
-                | exception Relational.Relation.Error _ -> None
-                | exception Relational.Database.Error _ -> None
-                | idb', delta -> go (State.of_isuccessor st delta idb') rest)
-          in
-          go root path
-        in
-        let dropped_checked = ref 0 in
-        let nodes =
-          List.filter_map
-            (fun (i, path) ->
-              match replay path with
-              | Some st -> Some (path, st)
-              | None ->
-                  (* A dropped node inside the already-goal-tested prefix
-                     shrinks the skip count, so whichever node slides
-                     into its slot still gets goal-tested. *)
-                  if i < fr.fr_checked then incr dropped_checked;
-                  Telemetry.count telemetry "discover.resume.dropped" 1;
-                  None)
-            (List.mapi (fun i path -> (i, path)) fr.fr_nodes)
-        in
-        Some
-          {
-            Search.Space.snap_nodes = nodes;
-            snap_closed = fr.fr_closed;
-            snap_checked =
-              min
-                (max 0 (fr.fr_checked - !dropped_checked))
-                (List.length nodes);
-          }
-  in
-  let finish ~name result =
-    (match result.Search.Space.outcome with
-    | Search.Space.Found { path; _ } ->
-        Log.info (fun m ->
-            m "discovered %d-operator mapping (%s), %d states examined"
-              (List.length path) name
-              result.Search.Space.stats.Search.Space.examined)
-    | Search.Space.Exhausted ->
-        Log.info (fun m ->
-            m "space exhausted after %d states"
-              result.Search.Space.stats.Search.Space.examined)
-    | Search.Space.Budget_exceeded ->
-        Log.info (fun m ->
-            m "budget exceeded at %d states"
-              result.Search.Space.stats.Search.Space.examined)
-    | Search.Space.Cancelled ->
-        Log.info (fun m ->
-            m "cancelled after %d states"
-              result.Search.Space.stats.Search.Space.examined));
-    match result.Search.Space.outcome with
-    | Search.Space.Found { path; final; _ } ->
-        (* The reported mapping replays from the original source, so the
-           warm prefix is part of it. *)
-        let path = warm_prefix @ path in
-        if Telemetry.enabled telemetry then
-          List.iter
-            (fun op -> Telemetry.count telemetry (applied_event op) 1)
-            path;
-        (* Close the incumbent stream with the answer itself, so the
-           final incumbent always equals the returned mapping. *)
-        (match tracker with
-        | Some t -> tracker_final t ~entrant:name ~ops:path final
-        | None -> ());
-        Mapping
-          {
-            Mapping.expr = Fira.Expr.of_ops path;
-            algorithm = name;
-            heuristic = config.heuristic.Heuristics.Heuristic.name;
-            goal = goal_mode;
-            stats = result.Search.Space.stats;
-          }
-    | Search.Space.Exhausted -> No_mapping result.Search.Space.stats
-    | Search.Space.Budget_exceeded | Search.Space.Cancelled ->
-        (* Cancelled cannot occur for a standalone run (no racer), but is
-           an honest give-up if it ever does. *)
-        Gave_up result.Search.Space.stats
-  in
-  let best_incumbent () =
-    match tracker with Some t -> tracker_best t | None -> None
-  in
-  match algorithm with
-  | Portfolio ->
+  match p.algorithm with
+  | Portfolio -> (
       let elapsed = Search.Space.stopwatch () in
-      let entrant_slots =
+      let entrants =
         List.map
           (fun (alg, heuristic) ->
             let name =
@@ -630,28 +573,20 @@ let discover_run ?(registry = Fira.Semfun.empty_registry)
                 heuristic.Heuristics.Heuristic.name
             in
             let slot = ref None in
-            let snapshot =
-              if anytime then
-                Some (fun snap -> slot := Some (to_frontier alg snap))
-              else None
-            in
-            ( name,
-              slot,
+            ( (name, slot),
               {
                 Search.Portfolio.name;
                 run =
                   (fun ~cancelled ->
-                    run_algorithm ~stop:cancelled ?tracker ?snapshot
-                      ~entrant:name
+                    run_algorithm ~stop:cancelled ~slot ~entrant:name
                       ~telemetry:(Telemetry.with_scope telemetry name)
-                      alg heuristic root);
+                      alg heuristic);
               } ))
           (portfolio_entrants ())
       in
-      let entrants = List.map (fun (_, _, e) -> e) entrant_slots in
       let race =
         Search.Portfolio.race ~telemetry ~domains:config.jobs ~stop
-          ~won:Search.Space.found entrants
+          ~won:Search.Space.found (List.map snd entrants)
       in
       let completed = List.map snd race.Search.Portfolio.results in
       (* Honest accounting: the portfolio's cost is the work of every
@@ -659,104 +594,148 @@ let discover_run ?(registry = Fira.Semfun.empty_registry)
       let stats iterations =
         sum_stats ~iterations ~elapsed_s:(elapsed ()) completed
       in
-      (* When every entrant exhausts, the best entrant's partial work —
-         the incumbent it reported and the frontier it checkpointed — is
-         propagated instead of being discarded with the race. *)
-      let pick_frontier () =
-        if not anytime then None
-        else
-          let named =
-            List.map (fun (n, slot, _) -> (n, !slot)) entrant_slots
-          in
-          let preferred =
-            match best_incumbent () with
-            | Some inc -> (
-                match List.assoc_opt inc.inc_entrant named with
-                | Some (Some f) -> Some f
-                | _ -> None)
-            | None -> None
-          in
-          match preferred with
-          | Some f -> Some f
-          | None -> List.find_map snd named
-      in
-      (match race.Search.Portfolio.winner with
+      match race.Search.Portfolio.winner with
       | Some (name, result) ->
-          let stats =
-            stats result.Search.Space.stats.Search.Space.iterations
-          in
-          let out =
-            finish
-              ~name:(Printf.sprintf "Portfolio(%s)" name)
-              { result with Search.Space.stats }
-          in
-          { a_outcome = out; a_incumbent = best_incumbent (); a_frontier = None }
+          {
+            name = Printf.sprintf "Portfolio(%s)" name;
+            result =
+              {
+                result with
+                Search.Space.stats =
+                  stats result.Search.Space.stats.Search.Space.iterations;
+              };
+            frontier = None;
+          }
       | None ->
           let gave_up =
             List.exists
               (fun (r : (State.t, Fira.Op.t) Search.Space.result) ->
                 match r.Search.Space.outcome with
-                | Search.Space.Budget_exceeded | Search.Space.Cancelled ->
-                    true
+                | Search.Space.Budget_exceeded | Search.Space.Cancelled -> true
                 | _ -> false)
               completed
           in
           Log.info (fun m ->
               m "portfolio: no entrant found a mapping (%d entrants)"
                 (List.length completed));
-          let out =
-            if gave_up then Gave_up (stats 1) else No_mapping (stats 1)
+          (* When every entrant gives up, the best entrant's partial work
+             — the incumbent it reported and the frontier it
+             checkpointed — is propagated instead of being discarded with
+             the race. *)
+          let frontier =
+            if not gave_up then None
+            else
+              let named =
+                List.map (fun ((n, slot), _) -> (n, !slot)) entrants
+              in
+              let preferred =
+                match Option.bind tracker tracker_best with
+                | Some inc -> Option.join (List.assoc_opt inc.inc_entrant named)
+                | None -> None
+              in
+              match preferred with
+              | Some f -> Some f
+              | None -> List.find_map snd named
           in
           {
-            a_outcome = out;
-            a_incumbent = best_incumbent ();
-            a_frontier = (if gave_up then pick_frontier () else None);
+            name = "Portfolio";
+            result =
+              {
+                Search.Space.outcome =
+                  (if gave_up then Search.Space.Budget_exceeded
+                   else Search.Space.Exhausted);
+                stats = stats 1;
+              };
+            frontier;
           })
   | alg ->
       let tel = Telemetry.with_scope telemetry (algorithm_name alg) in
-      let uses_pool = match alg with Astar | Beam _ -> true | _ -> false in
       let slot = ref None in
-      let snapshot =
-        if anytime then
-          Some (fun snap -> slot := Some (to_frontier alg snap))
-        else None
-      in
       let entrant = algorithm_name alg in
-      let result =
-        if config.jobs > 1 && uses_pool then
-          Search.Pool.with_pool ~telemetry:tel ~domains:config.jobs
-            (fun pool ->
-              run_algorithm ~pool ?tracker ?resume:resume_snap ?snapshot
-                ~entrant ~telemetry:tel alg config.heuristic root)
-        else
-          run_algorithm ?tracker ?resume:resume_snap ?snapshot ~entrant
-            ~telemetry:tel alg config.heuristic root
+      let run ?pool () =
+        run_algorithm ?pool ?resume:p.resume_snap ~slot ~entrant ~telemetry:tel
+          alg config.heuristic
       in
-      let out = finish ~name:entrant result in
-      { a_outcome = out; a_incumbent = best_incumbent (); a_frontier = !slot }
+      let result =
+        match alg with
+        | (Astar | Beam _) when config.jobs > 1 ->
+            Search.Pool.with_pool ~telemetry:tel ~domains:config.jobs
+              (fun pool -> run ~pool ())
+        | _ -> run ()
+      in
+      { name = entrant; result; frontier = !slot }
 
-let discover ?registry ?stop ?warm_start config ~source ~target =
+let report ?tracker config p { name; result; frontier } =
+  let examined = result.Search.Space.stats.Search.Space.examined in
+  let outcome =
+    match result.Search.Space.outcome with
+    | Search.Space.Found { path; final; _ } ->
+        Log.info (fun m ->
+            m "discovered %d-operator mapping (%s), %d states examined"
+              (List.length path) name examined);
+        (* The reported mapping replays from the original source, so the
+           warm prefix is part of it. *)
+        let path = p.warm_prefix @ path in
+        if Telemetry.enabled config.telemetry then
+          List.iter
+            (fun op -> Telemetry.count config.telemetry (applied_event op) 1)
+            path;
+        (* Close the incumbent stream with the answer itself, so the
+           final incumbent always equals the returned mapping. *)
+        Option.iter
+          (fun t -> tracker_final t ~entrant:name ~ops:path final)
+          tracker;
+        Mapping
+          {
+            Mapping.expr = Fira.Expr.of_ops path;
+            algorithm = name;
+            heuristic = config.heuristic.Heuristics.Heuristic.name;
+            goal = config.goal;
+            stats = result.Search.Space.stats;
+          }
+    | Search.Space.Exhausted ->
+        Log.info (fun m -> m "space exhausted after %d states" examined);
+        No_mapping result.Search.Space.stats
+    | Search.Space.Budget_exceeded ->
+        Log.info (fun m -> m "budget exceeded at %d states" examined);
+        Gave_up result.Search.Space.stats
+    | Search.Space.Cancelled ->
+        (* An honest give-up: a deadline, a shutdown or a lost race. *)
+        Log.info (fun m -> m "cancelled after %d states" examined);
+        Gave_up result.Search.Space.stats
+  in
+  {
+    a_outcome = outcome;
+    a_incumbent = Option.bind tracker tracker_best;
+    a_frontier = frontier;
+  }
+
+(* The public entry points: one [discover] span around the three stages,
+   then the sink is flushed. *)
+let discover_run ?(registry = Fira.Semfun.empty_registry)
+    ?(stop = Search.Space.never_stop) ?(warm_start = []) ?(anytime = false)
+    ?on_incumbent ?resume config ~source ~target =
   let result =
     Telemetry.span config.telemetry "discover" (fun () ->
-        discover_run ?registry ?stop ?warm_start config ~source ~target)
+        let p = prepare ~registry ~warm_start ?resume config ~source ~target in
+        let tracker =
+          if anytime then Some (make_tracker ?on_incumbent config p) else None
+        in
+        run_engine ~registry ~stop ~anytime ?tracker config p
+        |> report ?tracker config p)
   in
-  Telemetry.flush config.telemetry;
-  result.a_outcome
-
-let discover_anytime ?registry ?stop ?warm_start ?on_incumbent ?resume config
-    ~source ~target =
-  let result =
-    Telemetry.span config.telemetry "discover" (fun () ->
-        discover_run ?registry ?stop ?warm_start ~anytime:true ?on_incumbent
-          ?resume config ~source ~target)
-  in
-  (match result.a_frontier with
-  | Some fr ->
+  Option.iter
+    (fun fr ->
       Telemetry.count config.telemetry "discover.frontier.nodes"
-        (List.length fr.fr_nodes)
-  | None -> ());
+        (List.length fr.fr_nodes))
+    result.a_frontier;
   Telemetry.flush config.telemetry;
   result
+
+let discover ?registry ?stop ?warm_start config ~source ~target =
+  (discover_run ?registry ?stop ?warm_start config ~source ~target).a_outcome
+
+let discover_anytime = discover_run ~anytime:true
 
 let discover_mapping ?registry ?stop ?warm_start config ~source ~target =
   match discover ?registry ?stop ?warm_start config ~source ~target with
@@ -776,29 +755,22 @@ let frontier_to_string fr =
   Buffer.add_string b
     (Printf.sprintf "algorithm %s\n" (algorithm_name fr.fr_algorithm));
   Buffer.add_string b (Printf.sprintf "checked %d\n" fr.fr_checked);
-  (match fr.fr_prefix with
-  | [] -> ()
-  | ops ->
-      Buffer.add_string b (Printf.sprintf "prefix %d\n" (List.length ops));
-      List.iter
-        (fun op ->
-          Buffer.add_string b (Fira.Op.to_string op);
-          Buffer.add_char b '\n')
-        ops);
+  (* An operator block: a counted header, then one operator per line. *)
+  let add_ops header ops =
+    Buffer.add_string b (Printf.sprintf "%s %d\n" header (List.length ops));
+    List.iter
+      (fun op ->
+        Buffer.add_string b (Fira.Op.to_string op);
+        Buffer.add_char b '\n')
+      ops
+  in
+  if fr.fr_prefix <> [] then add_ops "prefix" fr.fr_prefix;
   List.iter
     (fun (k, g) ->
       Buffer.add_string b
         (Printf.sprintf "closed %s %d\n" (Relational.Fingerprint.to_hex k) g))
     fr.fr_closed;
-  List.iter
-    (fun path ->
-      Buffer.add_string b (Printf.sprintf "node %d\n" (List.length path));
-      List.iter
-        (fun op ->
-          Buffer.add_string b (Fira.Op.to_string op);
-          Buffer.add_char b '\n')
-        path)
-    fr.fr_nodes;
+  List.iter (add_ops "node") fr.fr_nodes;
   Buffer.contents b
 
 let frontier_of_string s =

@@ -18,7 +18,8 @@ type algorithm =
   | Greedy
   | Beam of int
       (** beam search with the given width — incomplete but O(width)
-          memory; an extension beyond the paper (see [Search.Beam]) *)
+          memory; an extension beyond the paper (see
+          [Search.Frontier_search]) *)
   | Bfs
   | Portfolio
       (** race a curated set of (algorithm × heuristic) entrants across
@@ -202,8 +203,9 @@ type anytime = {
       (** the last (best) incumbent, [None] only if nothing was observed *)
   a_frontier : frontier option;
       (** on {!Gave_up} with a frontier-based algorithm (A*, greedy,
-          beam, BFS — sequential engines), the checkpoint to continue
-          from; [None] for the DFS algorithms (IDA*, IDA+TT, RBFS),
+          beam, BFS; pooled or not), the checkpoint to continue from;
+          [None] when pooled A* returns its incumbent instead, and for
+          the DFS algorithms (IDA*, IDA+TT, RBFS),
           whose implicit frontier is not materialized — resuming them
           restarts from the source *)
 }

@@ -25,6 +25,7 @@ let () =
       ("server", Test_server.suite);
       ("fuzz", Test_fuzz.suite);
       ("anytime", Test_anytime.suite);
+      ("golden", Test_golden.suite);
       ("algebra.mapping", Test_mapping_algebra.suite);
       ("server.cache", Test_server_cache.suite);
       ("migrate", Test_migrate.suite);

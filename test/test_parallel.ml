@@ -25,8 +25,8 @@ module Grid = struct
   let is_goal (x, y) = x = size - 1 && y = size - 1
 end
 
-module Grid_beam = Search.Beam.Make (Grid)
-module Grid_astar = Search.Astar.Make (Grid)
+module Grid_fs = Search.Frontier_search.Make (Grid)
+module Fs = Search.Frontier_search
 
 let manhattan (x, y) = (Grid.size - 1 - x) + (Grid.size - 1 - y)
 
@@ -154,9 +154,9 @@ let test_portfolio_no_winner () =
 (* --- parallel frontier expansion --- *)
 
 let test_beam_parallel_bit_identical () =
-  let seq = Grid_beam.search ~width:3 ~heuristic:manhattan (0, 0) in
+  let seq = Grid_fs.search (Fs.Beam 3) ~heuristic:manhattan (0, 0) in
   Search.Pool.with_pool ~domains:3 (fun pool ->
-      let par = Grid_beam.search ~pool ~width:3 ~heuristic:manhattan (0, 0) in
+      let par = Grid_fs.search ~pool (Fs.Beam 3) ~heuristic:manhattan (0, 0) in
       Alcotest.(check int) "cost" (Search.Space.cost_exn seq)
         (Search.Space.cost_exn par);
       Alcotest.(check int) "examined"
@@ -170,9 +170,9 @@ let test_beam_parallel_bit_identical () =
         par.Search.Space.stats.Search.Space.expanded)
 
 let test_astar_parallel_equal_cost () =
-  let seq = Grid_astar.search ~heuristic:manhattan (0, 0) in
+  let seq = Grid_fs.search Fs.Astar ~heuristic:manhattan (0, 0) in
   Search.Pool.with_pool ~domains:3 (fun pool ->
-      let par = Grid_astar.search ~pool ~heuristic:manhattan (0, 0) in
+      let par = Grid_fs.search ~pool Fs.Astar ~heuristic:manhattan (0, 0) in
       Alcotest.(check int) "cost" (Search.Space.cost_exn seq)
         (Search.Space.cost_exn par);
       (* Batched expansion examines at least as many states; both must be
@@ -181,11 +181,12 @@ let test_astar_parallel_equal_cost () =
         (par.Search.Space.stats.Search.Space.examined > 0))
 
 let test_cancelled_outcome () =
-  let r = Grid_astar.search ~stop:(fun () -> true) ~heuristic:manhattan (0, 0) in
+  let stop () = true in
+  let r = Grid_fs.search ~stop Fs.Astar ~heuristic:manhattan (0, 0) in
   (match r.Search.Space.outcome with
   | Search.Space.Cancelled -> ()
   | _ -> Alcotest.fail "expected Cancelled");
-  let r = Grid_beam.search ~stop:(fun () -> true) ~heuristic:manhattan (0, 0) in
+  let r = Grid_fs.search ~stop (Fs.Beam 8) ~heuristic:manhattan (0, 0) in
   match r.Search.Space.outcome with
   | Search.Space.Cancelled -> ()
   | _ -> Alcotest.fail "expected Cancelled"

@@ -26,10 +26,8 @@ end
 module Grid_ida = Search.Ida.Make (Grid)
 module Grid_ida_tt = Search.Ida_tt.Make (Grid)
 module Grid_rbfs = Search.Rbfs.Make (Grid)
-module Grid_astar = Search.Astar.Make (Grid)
-module Grid_greedy = Search.Greedy.Make (Grid)
-module Grid_bfs = Search.Bfs.Make (Grid)
-module Grid_beam = Search.Beam.Make (Grid)
+module Grid_fs = Search.Frontier_search.Make (Grid)
+module Fs = Search.Frontier_search
 
 let manhattan (x, y) = (Grid.size - 1 - x) + (Grid.size - 1 - y)
 let zero _ = 0
@@ -52,13 +50,14 @@ let test_grid_all_algorithms () =
   check_found "IDA+TT/blind" (Grid_ida_tt.search ~heuristic:zero (0, 0)) expected;
   check_found "RBFS/manhattan" (Grid_rbfs.search ~heuristic:manhattan (0, 0)) expected;
   check_found "RBFS/blind" (Grid_rbfs.search ~heuristic:zero (0, 0)) expected;
-  check_found "A*/manhattan" (Grid_astar.search ~heuristic:manhattan (0, 0)) expected;
-  check_found "BFS" (Grid_bfs.search (0, 0)) expected;
+  let frontier policy = Grid_fs.search policy ~heuristic:manhattan (0, 0) in
+  check_found "A*/manhattan" (frontier Fs.Astar) expected;
+  check_found "BFS" (Grid_fs.search Fs.Bfs ~heuristic:zero (0, 0)) expected;
   (* Greedy has no optimality guarantee but on this DAG every path is
      optimal. *)
-  check_found "Greedy/manhattan" (Grid_greedy.search ~heuristic:manhattan (0, 0)) expected;
-  check_found "Beam/manhattan" (Grid_beam.search ~heuristic:manhattan (0, 0)) expected;
-  check_found "Beam width 1" (Grid_beam.search ~width:1 ~heuristic:manhattan (0, 0)) expected
+  check_found "Greedy/manhattan" (frontier Fs.Greedy) expected;
+  check_found "Beam/manhattan" (frontier (Fs.Beam 8)) expected;
+  check_found "Beam width 1" (frontier (Fs.Beam 1)) expected
 
 let test_heuristic_reduces_work () =
   let blind = Grid_ida.search ~heuristic:zero (0, 0) in
@@ -77,7 +76,7 @@ let test_transposition_table_reduces_work () =
     < plain.Search.Space.stats.Search.Space.examined)
 
 let test_path_replays_to_goal () =
-  let result = Grid_astar.search ~heuristic:manhattan (0, 0) in
+  let result = Grid_fs.search Fs.Astar ~heuristic:manhattan (0, 0) in
   match result.Search.Space.outcome with
   | Search.Space.Found { path; final; _ } ->
       let replayed =
@@ -106,8 +105,7 @@ end
 module De_ida = Search.Ida.Make (Dead_end)
 module De_ida_tt = Search.Ida_tt.Make (Dead_end)
 module De_rbfs = Search.Rbfs.Make (Dead_end)
-module De_astar = Search.Astar.Make (Dead_end)
-module De_bfs = Search.Bfs.Make (Dead_end)
+module De_fs = Search.Frontier_search.Make (Dead_end)
 
 let test_exhaustion () =
   let is_exhausted r =
@@ -122,8 +120,9 @@ let test_exhaustion () =
   Alcotest.(check bool) "RBFS exhausts" true
     (is_exhausted (De_rbfs.search ~heuristic:zero 0));
   Alcotest.(check bool) "A* exhausts" true
-    (is_exhausted (De_astar.search ~heuristic:zero 0));
-  Alcotest.(check bool) "BFS exhausts" true (is_exhausted (De_bfs.search 0))
+    (is_exhausted (De_fs.search Fs.Astar ~heuristic:zero 0));
+  Alcotest.(check bool) "BFS exhausts" true
+    (is_exhausted (De_fs.search Fs.Bfs ~heuristic:zero 0))
 
 module Infinite = struct
   (* Unbounded branching chain with an unreachable goal: budgets must trip. *)
@@ -139,7 +138,7 @@ end
 
 module Inf_ida = Search.Ida.Make (Infinite)
 module Inf_rbfs = Search.Rbfs.Make (Infinite)
-module Inf_astar = Search.Astar.Make (Infinite)
+module Inf_fs = Search.Frontier_search.Make (Infinite)
 
 let test_budget () =
   let tripped r =
@@ -152,7 +151,7 @@ let test_budget () =
   Alcotest.(check bool) "RBFS budget" true
     (tripped (Inf_rbfs.search ~budget:100 ~heuristic:zero 0));
   Alcotest.(check bool) "A* budget" true
-    (tripped (Inf_astar.search ~budget:100 ~heuristic:zero 0))
+    (tripped (Inf_fs.search ~budget:100 Fs.Astar ~heuristic:zero 0))
 
 let test_budget_respected () =
   let r = Inf_ida.search ~budget:100 ~heuristic:zero 0 in
@@ -184,7 +183,7 @@ let test_beam_incomplete () =
      search dies out even though the goal is reachable (documented
      incompleteness). *)
   let misleading (x, y) = x + y in
-  let r = Grid_beam.search ~width:1 ~heuristic:misleading (0, 0) in
+  let r = Grid_fs.search (Fs.Beam 1) ~heuristic:misleading (0, 0) in
   match r.Search.Space.outcome with
   | Search.Space.Exhausted -> ()
   | Search.Space.Found _ ->
@@ -193,13 +192,13 @@ let test_beam_incomplete () =
   | _ -> Alcotest.fail "expected exhaustion or a lucky path"
 
 let test_bfs_reachable () =
-  let depths = Grid_bfs.reachable ~max_depth:2 (0, 0) in
+  let depths = Grid_fs.reachable ~max_depth:2 (0, 0) in
   Alcotest.(check (option int)) "root depth" (Some 0)
-    (Grid_bfs.Keys.find_opt depths "0,0");
+    (Grid_fs.Keys.find_opt depths "0,0");
   Alcotest.(check (option int)) "diagonal depth" (Some 2)
-    (Grid_bfs.Keys.find_opt depths "1,1");
+    (Grid_fs.Keys.find_opt depths "1,1");
   Alcotest.(check (option int)) "beyond max_depth absent" None
-    (Grid_bfs.Keys.find_opt depths "3,0")
+    (Grid_fs.Keys.find_opt depths "3,0")
 
 let test_degenerate_parameters () =
   (* budget <= 0 and width <= 0 are programming errors, not "search the
@@ -218,25 +217,26 @@ let test_degenerate_parameters () =
   raises "RBFS budget 0" (fun () ->
       Grid_rbfs.search ~budget:0 ~heuristic:zero (0, 0));
   raises "A* budget 0" (fun () ->
-      Grid_astar.search ~budget:0 ~heuristic:zero (0, 0));
+      Grid_fs.search ~budget:0 Fs.Astar ~heuristic:zero (0, 0));
   raises "A* batch 0" (fun () ->
-      Grid_astar.search ~batch:0 ~heuristic:zero (0, 0));
+      Grid_fs.search ~batch:0 Fs.Astar ~heuristic:zero (0, 0));
   raises "Greedy budget 0" (fun () ->
-      Grid_greedy.search ~budget:0 ~heuristic:zero (0, 0));
+      Grid_fs.search ~budget:0 Fs.Greedy ~heuristic:zero (0, 0));
   raises "Beam budget 0" (fun () ->
-      Grid_beam.search ~budget:0 ~heuristic:zero (0, 0));
+      Grid_fs.search ~budget:0 (Fs.Beam 8) ~heuristic:zero (0, 0));
   raises "Beam width 0" (fun () ->
-      Grid_beam.search ~width:0 ~heuristic:zero (0, 0));
+      Grid_fs.search (Fs.Beam 0) ~heuristic:zero (0, 0));
   raises "Beam width -3" (fun () ->
-      Grid_beam.search ~width:(-3) ~heuristic:zero (0, 0));
-  raises "BFS budget 0" (fun () -> Grid_bfs.search ~budget:0 (0, 0));
+      Grid_fs.search (Fs.Beam (-3)) ~heuristic:zero (0, 0));
+  raises "BFS budget 0" (fun () ->
+      Grid_fs.search ~budget:0 Fs.Bfs ~heuristic:zero (0, 0));
   Alcotest.(check bool) "BFS reachable budget 0" true
-    (match Grid_bfs.reachable ~budget:0 (0, 0) with
+    (match Grid_fs.reachable ~budget:0 (0, 0) with
     | exception Invalid_argument _ -> true
-    | (_ : int Grid_bfs.Keys.t) -> false)
+    | (_ : int Grid_fs.Keys.t) -> false)
 
 let test_elapsed_non_negative () =
-  let r = Grid_astar.search ~heuristic:manhattan (0, 0) in
+  let r = Grid_fs.search Fs.Astar ~heuristic:manhattan (0, 0) in
   Alcotest.(check bool) "elapsed_s >= 0" true
     (r.Search.Space.stats.Search.Space.elapsed_s >= 0.)
 

@@ -631,6 +631,21 @@ let test_stats_reconcile_with_trace () =
   Alcotest.(check int) "one cache hit" 1
     (stats_counter stats [ "cache"; "hits" ])
 
+(* Regression: a SIGTERM sent as soon as the server announces itself
+   must drain it, not kill the process. [run] installs its handlers
+   before [on_ready] fires, so a signal raised from inside the callback
+   takes the clean-stop path and [run] returns. *)
+let test_run_sigterm_from_on_ready () =
+  let config =
+    Daemon.config ~port:0 ~workers:1 ~queue_capacity:4 ~search_telemetry:false
+      ()
+  in
+  let ready = ref false in
+  Daemon.run config ~on_ready:(fun t ->
+      ready := Daemon.port t > 0;
+      Unix.kill (Unix.getpid ()) Sys.sigterm);
+  Alcotest.(check bool) "on_ready saw a bound port, run returned" true !ready
+
 let test_graceful_drain () =
   let agg = Telemetry.Agg.create () in
   let config =
@@ -1116,6 +1131,8 @@ let suite =
       test_stats_reconcile_with_trace;
     Alcotest.test_case "e2e: graceful drain on stop" `Quick
       test_graceful_drain;
+    Alcotest.test_case "e2e: SIGTERM from on_ready drains and run returns"
+      `Quick test_run_sigterm_from_on_ready;
     Alcotest.test_case "e2e: pipelined requests answered in order" `Quick
       test_pipelined_requests;
     Alcotest.test_case "e2e: request split at every byte boundary" `Quick
