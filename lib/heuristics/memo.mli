@@ -1,8 +1,9 @@
-(** Bounded, domain-safe memoization for heuristic estimates.
+(** Bounded, domain-safe memoization for the search hot path.
 
-    Heuristic values depend only on a state's canonical key, so searches
-    memoize them ([Discover] does this for every algorithm). Two
-    requirements shape this cache:
+    Heuristic values and successor lists depend only on a state's
+    canonical key, so searches memoize them by fingerprint: [Discover]
+    memoizes heuristic values for every algorithm and successor lists for
+    the depth-first ones. Two requirements shape this cache:
 
     - {b Bounded eviction.} Long runs visit millions of states; the
       cache keeps at most [cap] entries using two generations (a flavor
@@ -13,10 +14,16 @@
 
     - {b Domain safety.} The parallel engine ({!Search.Pool},
       {!Search.Portfolio}) evaluates heuristics on several domains at
-      once. Each domain gets its own table via [Domain.DLS] —
-      shared-nothing, so no locks on the hot path; a value may be
-      computed once per domain, which is redundant work but never a
-      race. *)
+      once. Each domain gets its own tables — shared-nothing, so no locks
+      on the hot path; a value may be computed once per domain, which is
+      redundant work but never a race.
+
+    {b Ownership.} A memo owns its per-domain tables (an atomic list keyed
+    by [Domain.self ()]); nothing outside the memo points at them, so they
+    are collected with the memo. Create one memo per run and drop it
+    afterwards: a long-running server creates one per request. The tables
+    are not kept in [Domain.DLS]: OCaml never frees a DLS slot, so every
+    memo ever created would stay live. *)
 
 type ('k, 'v) t
 (** Keys are hashed and compared with the polymorphic [Hashtbl] primitives;
@@ -24,11 +31,21 @@ type ('k, 'v) t
     strings, or the 16-byte {!Relational.Fingerprint.t} records the search
     layer now prefers. *)
 
-val create : ?telemetry:Telemetry.t -> ?cap:int -> unit -> ('k, 'v) t
+val create :
+  ?telemetry:Telemetry.t ->
+  ?name:string ->
+  ?weight:('v -> int) ->
+  ?cap:int ->
+  unit ->
+  ('k, 'v) t
 (** [create ~cap ()] bounds the per-domain residency to at most [cap]
-    entries (default 200_000). With [telemetry], every lookup emits a
-    [memo.hit] or [memo.miss] counter (a hit in either generation counts
-    as a hit) and every generation flip a [memo.eviction] counter.
+    entries (default 200_000). With [weight], residency is the summed
+    weight of the resident values instead of their number, and a value
+    heavier than [cap / 2] is returned but never cached. With
+    [telemetry], every lookup emits a [<name>.hit] or [<name>.miss]
+    counter (a hit in either generation counts as a hit) and every
+    generation flip a [<name>.eviction] counter; [name] defaults to
+    ["memo"], the heuristic memo's counters.
     @raise Invalid_argument if [cap < 2]. *)
 
 val find_or_add : ('k, 'v) t -> 'k -> ('k -> 'v) -> 'v
@@ -38,7 +55,8 @@ val find_or_add : ('k, 'v) t -> 'k -> ('k -> 'v) -> 'v
     (it is never resident in both). *)
 
 val size : ('k, 'v) t -> int
-(** Number of entries resident in the calling domain's table. *)
+(** Number of entries resident in the calling domain's table (not their
+    weight). *)
 
 val evictions : ('k, 'v) t -> int
 (** Number of generation flips performed in the calling domain's table

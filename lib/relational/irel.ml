@@ -40,10 +40,16 @@ type t = {
   mutable nulls : int;  (* has null cells: -1 unknown / 0 / 1 *)
   mutable proj : (int array * int array array) option;
       (* containment cache: projection onto the given atts, rows sorted *)
+  mutable mu_id : int;  (* µ is the identity on every column: -1 unknown / 0 / 1 *)
 }
 
 let null_id = Intern.null_value_id
 let fresh_col att ids = { att; ids; lanes = None; dstrs = None; dcount = -1 }
+
+(* A relation with every relation-level cache empty. *)
+let fresh atts cols nrows =
+  { atts; cols; nrows; fp = None; vstrs = None; nulls = -1; proj = None;
+    mu_id = -1 }
 
 let make atts rows =
   (* [rows] already canonical (sorted, deduplicated), one int array per
@@ -59,7 +65,7 @@ let make atts rows =
         (Array.unsafe_get cols j).ids.(i) <- row.(j)
       done)
     rows;
-  { atts; cols; nrows; fp = None; vstrs = None; nulls = -1; proj = None }
+  fresh atts cols nrows
 
 let arity t = Array.length t.atts
 let cardinality t = t.nrows
@@ -313,15 +319,7 @@ let promote r ~name_col ~value_col =
           (ecols.(slot 0)).ids.(i) <- vids.(i)
       | None -> ()
     done;
-    {
-      atts = Array.append r.atts extra;
-      cols = Array.append r.cols ecols;
-      nrows = r.nrows;
-      fp = None;
-      vstrs = None;
-      nulls = -1;
-      proj = None;
-    }
+    fresh (Array.append r.atts extra) (Array.append r.cols ecols) r.nrows
   end
 
 let product a b =
@@ -351,16 +349,9 @@ let product a b =
     done;
     fresh_col c.att ids
   in
-  {
-    atts = atts';
-    cols =
-      Array.append (Array.map expand_left a.cols) (Array.map expand_right b.cols);
-    nrows = n;
-    fp = None;
-    vstrs = None;
-    nulls = -1;
-    proj = None;
-  }
+  fresh atts'
+    (Array.append (Array.map expand_left a.cols) (Array.map expand_right b.cols))
+    n
 
 let demote r ~rel_name ~att_att ~rel_att =
   if mem_att r att_att || mem_att r rel_att || att_att = rel_att then
@@ -383,15 +374,10 @@ let extend r att f =
   (* Appending a column to pairwise-distinct sorted rows keeps them
      strictly increasing: build just the new column and share the rest. *)
   let out = Array.init r.nrows (fun i -> f (row_of r i)) in
-  {
-    atts = Array.append r.atts [| att |];
-    cols = Array.append r.cols [| fresh_col att out |];
-    nrows = r.nrows;
-    fp = None;
-    vstrs = None;
-    nulls = -1;
-    proj = None;
-  }
+  fresh
+    (Array.append r.atts [| att |])
+    (Array.append r.cols [| fresh_col att out |])
+    r.nrows
 
 let dereference r ~target ~pointer_col =
   let pi = index_of r pointer_col in
@@ -451,8 +437,45 @@ let merge_group ~changed rows =
 
 let merge_rows rows = merge_group ~changed:(ref false) rows
 
-let merge r att =
-  let ai = index_of r att in
+(* The µ-identity certificate. Two rows µ merges are compatible: they
+   agree (under Value.compare) wherever both are non-null, so in
+   particular on every column without nulls. If no two rows agree on all
+   the null-free columns, no pair is ever compatible, no group merges, and
+   µ on any column returns its input. With no null-free column at all the
+   projection is injective only on 0 or 1 rows. *)
+let mu_identity t =
+  if t.mu_id >= 0 then t.mu_id = 1
+  else begin
+    let keys =
+      List.filter
+        (fun c -> not (Array.mem null_id c.ids))
+        (Array.to_list t.cols)
+    in
+    let cmp i1 i2 =
+      let rec go = function
+        | [] -> 0
+        | c :: rest ->
+            let d = Intern.compare_values c.ids.(i1) c.ids.(i2) in
+            if d <> 0 then d else go rest
+      in
+      go keys
+    in
+    let injective =
+      t.nrows <= 1
+      || keys <> []
+         &&
+         let idx = Array.init t.nrows Fun.id in
+         Array.stable_sort cmp idx;
+         let rec distinct k =
+           k >= t.nrows || (cmp idx.(k - 1) idx.(k) <> 0 && distinct (k + 1))
+         in
+         distinct 1
+    in
+    t.mu_id <- (if injective then 1 else 0);
+    injective
+  end
+
+let merge_column r ai =
   let kids = r.cols.(ai).ids in
   let changed = ref false in
   let merge_group rows = merge_group ~changed rows in
@@ -495,6 +518,11 @@ let merge r att =
     in
     of_rows r.atts rows'
 
+let merge r att =
+  let ai = index_of r att in
+  (* The certificate settles most µ candidates without grouping a row. *)
+  if mu_identity r then r else merge_column r ai
+
 let slice r ~off ~len =
   if off < 0 || len < 0 || off + len > r.nrows then
     invalid_arg "Irel.slice: bad range";
@@ -504,15 +532,7 @@ let slice r ~off ~len =
   let cols =
     Array.map (fun c -> fresh_col c.att (Array.sub c.ids off len)) r.cols
   in
-  {
-    atts = r.atts;
-    cols;
-    nrows = len;
-    fp = None;
-    vstrs = None;
-    nulls = -1;
-    proj = None;
-  }
+  fresh r.atts cols len
 
 let filter_rows r mask kept =
   (* Filtered rows of a canonical relation stay canonical: no re-sort. *)
@@ -531,15 +551,7 @@ let filter_rows r mask kept =
         fresh_col c.att ids)
       r.cols
   in
-  {
-    atts = r.atts;
-    cols;
-    nrows = kept;
-    fp = None;
-    vstrs = None;
-    nulls = -1;
-    proj = None;
-  }
+  fresh r.atts cols kept
 
 let filter_idx r pred =
   let mask = Array.init r.nrows pred in
@@ -559,8 +571,7 @@ let take_idx r idxs =
       (fun c -> fresh_col c.att (Array.map (fun i -> c.ids.(i)) idxs))
       r.cols
   in
-  { atts = r.atts; cols; nrows = n; fp = None; vstrs = None; nulls = -1;
-    proj = None }
+  fresh r.atts cols n
 
 let extend_cols r atts cols =
   let n_new = Array.length atts in
@@ -580,15 +591,10 @@ let extend_cols r atts cols =
     cols;
   (* Same argument as [extend]: appending columns to pairwise-distinct
      sorted rows keeps them strictly increasing — no re-canonicalization. *)
-  {
-    atts = Array.append r.atts atts;
-    cols = Array.append r.cols (Array.map2 fresh_col atts cols);
-    nrows = r.nrows;
-    fp = None;
-    vstrs = None;
-    nulls = -1;
-    proj = None;
-  }
+  fresh
+    (Array.append r.atts atts)
+    (Array.append r.cols (Array.map2 fresh_col atts cols))
+    r.nrows
 
 let partition r att =
   let ai = index_of r att in
@@ -637,15 +643,7 @@ let project_away r att =
     arity' > 0 && go 1
   in
   if still_sorted then
-    {
-      atts = atts';
-      cols = cols';
-      nrows = r.nrows;
-      fp = None;
-      vstrs = None;
-      nulls = -1;
-      proj = None;
-    }
+    fresh atts' cols' r.nrows
   else of_rows atts' (List.map drop (to_rows r))
 
 let rename_att r ~old_name ~new_name =
@@ -668,15 +666,9 @@ let rename_att r ~old_name ~new_name =
       dstrs = old.dstrs;
       dcount = old.dcount;
     };
-  {
-    atts = atts';
-    cols = cols';
-    nrows = r.nrows;
-    fp = None;
-    vstrs = r.vstrs;
-    nulls = r.nulls;
-    proj = None;
-  }
+  (* Renaming changes no cell: the value and µ caches carry over. *)
+  { (fresh atts' cols' r.nrows) with vstrs = r.vstrs; nulls = r.nulls;
+    mu_id = r.mu_id }
 
 (* ------------------------------------------------------------------ *)
 (* Comparison, containment                                             *)

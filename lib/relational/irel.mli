@@ -60,6 +60,15 @@ val vstrs : t -> int array
 val has_nulls : t -> bool
 (** Any null cell. Cached. *)
 
+val mu_identity : t -> bool
+(** The µ-identity certificate: [true] only if {!merge} on every column
+    returns its input. Rows that µ merges agree, under {!Value.compare},
+    on every column without nulls; so when the projection onto the
+    null-free columns is injective, no two rows can merge. [false] makes
+    no claim (µ may still be the identity). A relation of 0 or 1 rows is
+    certified; one with no null-free column and 2 or more rows is not.
+    Cached; {!rename_att} carries it over. *)
+
 val usable_name : int -> int option
 (** [Relation.usable_column_name] on a value id: the printed form's string
     id, or [None] for Null and the empty string. *)
@@ -75,6 +84,8 @@ val promote : t -> name_col:int -> value_col:int -> t
 val demote : t -> rel_name:int -> att_att:int -> rel_att:int -> t
 val dereference : t -> target:int -> pointer_col:int -> t
 val merge : t -> int -> t
+(** Returns its input physically when µ changes nothing — at once when
+    {!mu_identity} holds, otherwise after grouping the rows. *)
 
 val partition : t -> int -> (int * t) list
 (** Groups by distinct non-null column value (in {!Value.compare} order),

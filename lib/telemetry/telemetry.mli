@@ -39,6 +39,12 @@
     - [moves.proposed.<op>] / [moves.applied.<op>] — counters of FIRA
       operator instantiations proposed during successor generation and
       applied in the discovered mapping ([<op>] is {!Fira.Op.kind_name}).
+    - [successors.hit] / [successors.miss] / [successors.eviction] —
+      per-run successor memo counters of the depth-first engines (a miss
+      computes successors).
+    - [moves.propose] / [moves.apply] — timers: candidate proposal and
+      operator application inside one successor computation.
+    - [goal.test] — timer: one goal test.
     - [discover] — span around a whole discovery run. *)
 
 (** {1 Events} *)

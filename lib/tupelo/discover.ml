@@ -466,9 +466,54 @@ type ran = {
   frontier : frontier option;
 }
 
+(* The successor memo's bound, in cells. An entry weighs the key state's
+   cells plus every successor's, and each state is also charged
+   [successor_memo_state_cells] for what it pins besides its cells (state
+   record, relation maps, fingerprints, caches): on small states that
+   overhead dominates. Shared relations are counted once per state, so
+   this over-counts cells. A state holds at most [max_state_cells] (4096
+   by default); a domain's two generations keep at most 2^18 weighted
+   cells, which measured at up to 7 words each (about 15 MB). *)
+let successor_memo_cells = 1 lsl 18
+let successor_memo_state_cells = 64
+
 let run_engine ~registry ~stop ~anytime ?tracker config p =
   let telemetry = config.telemetry in
-  let module Sp = struct
+  let compute state =
+    Moves.successors ~telemetry p.moves_config registry p.target_info state
+  in
+  (* RBFS re-expands a state on every backtrack and IDA* on every
+     iteration, and successor lists depend only on the state's content:
+     for them, memoize the lists for this run by fingerprint. The stored
+     state confirms a hit (a fingerprint collision computes the successors
+     afresh), and the engines still count every expansion, so
+     states-examined does not change. Counters: [successors.hit] /
+     [successors.miss]. The frontier kernel expands each key once (A*
+     again only on a strictly smaller g), so it gets no memo: there the
+     memo would only keep alive successor lists that otherwise die young. *)
+  let succ_memo :
+      (Relational.Fingerprint.t, State.t * (Fira.Op.t * State.t) list)
+      Heuristics.Memo.t =
+    Heuristics.Memo.create ~telemetry ~name:"successors"
+      ~cap:successor_memo_cells
+      ~weight:(fun (st, succs) ->
+        let weigh s = State.total_cells s + successor_memo_state_cells in
+        List.fold_left (fun n (_, s) -> n + weigh s) (weigh st) succs)
+      ()
+  in
+  let memoized state =
+    let st, succs =
+      Heuristics.Memo.find_or_add succ_memo (State.fingerprint state)
+        (fun _ -> (state, compute state))
+    in
+    if st == state || State.same_content st state then succs
+    else compute state
+  in
+  (* The search space every engine shares, over a successor function. *)
+  let module Space (G : sig
+    val successors : State.t -> (Fira.Op.t * State.t) list
+  end) =
+  struct
     type state = State.t
     type action = Fira.Op.t
 
@@ -477,9 +522,7 @@ let run_engine ~registry ~stop ~anytime ?tracker config p =
     let key = State.fingerprint
 
     let successors state =
-      let succs =
-        Moves.successors ~telemetry p.moves_config registry p.target_info state
-      in
+      let succs = G.successors state in
       if Telemetry.enabled telemetry then
         List.iter
           (fun (op, _) -> Telemetry.count telemetry (proposed_event op) 1)
@@ -487,10 +530,17 @@ let run_engine ~registry ~stop ~anytime ?tracker config p =
       succs
 
     let is_goal state =
-      Goal.reached_interned config.goal
-        ~target:(Moves.target_idb p.target_info)
-        (State.idb state)
+      Telemetry.timed telemetry "goal.test" (fun () ->
+          Goal.reached_interned config.goal
+            ~target:(Moves.target_idb p.target_info)
+            (State.idb state))
   end in
+  let module Sp = Space (struct
+    let successors = compute
+  end) in
+  let module Sp_memo = Space (struct
+    let successors = memoized
+  end) in
   (* IDA* and RBFS re-visit states across iterations/backtracks; heuristic
      values depend only on the state, so memoize them by fingerprint.
      This does not affect the states-examined counts — only wall clock —
@@ -540,13 +590,13 @@ let run_engine ~registry ~stop ~anytime ?tracker config p =
     let budget = config.budget and root = p.root in
     match alg with
     | Ida ->
-        let module I = Search.Ida.Make (Sp) in
+        let module I = Search.Ida.Make (Sp_memo) in
         I.search ~stop ~telemetry:tel ~budget ?watch ~heuristic:estimate root
     | Ida_tt ->
-        let module I = Search.Ida_tt.Make (Sp) in
+        let module I = Search.Ida_tt.Make (Sp_memo) in
         I.search ~stop ~telemetry:tel ~budget ?watch ~heuristic:estimate root
     | Rbfs ->
-        let module R = Search.Rbfs.Make (Sp) in
+        let module R = Search.Rbfs.Make (Sp_memo) in
         R.search ~stop ~telemetry:tel ~budget ?watch ~heuristic:estimate root
     | Astar | Greedy | Beam _ | Bfs ->
         let module F = Search.Frontier_search.Make (Sp) in

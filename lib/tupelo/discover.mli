@@ -63,8 +63,15 @@ type config = {
           search events from the chosen algorithm (scoped by algorithm
           name, or entrant name under {!Portfolio}), [heuristic.eval]
           timers and [memo.*] counters from heuristic evaluation,
-          [moves.proposed.<op>]/[moves.applied.<op>] operator counters,
-          and [pool.*]/[portfolio.*] events from the parallel engine.
+          [moves.proposed.<op>]/[moves.applied.<op>] operator counters
+          ([moves.proposed.*] counts every expansion, memoized or not),
+          [successors.hit]/[successors.miss] counters from the per-run
+          successor memo of the depth-first engines (IDA*, IDA+TT, RBFS;
+          a miss is one real successor computation),
+          [moves.propose]/[moves.apply] timers around candidate proposal
+          and operator application on each miss, a [goal.test] timer per
+          goal test, and [pool.*]/[portfolio.*] events from the parallel
+          engine.
           The handle's sink is flushed before [discover] returns. *)
 }
 

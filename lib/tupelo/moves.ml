@@ -817,7 +817,10 @@ module Fp_tbl = Hashtbl.Make (Fingerprint)
 
 let successors ?(telemetry = Telemetry.disabled) config registry target state =
   let idb = State.idb state in
-  let ops = icandidates config registry target idb in
+  let ops =
+    Telemetry.timed telemetry "moves.propose" (fun () ->
+        icandidates config registry target idb)
+  in
   (* Dedup on the 16-byte fingerprint — but never discard on the
      fingerprint alone: a fingerprint hit is confirmed by a canonical
      content comparison over the interned form, so an (astronomically
@@ -827,6 +830,7 @@ let successors ?(telemetry = Telemetry.disabled) config registry target state =
   let seen : State.t Fp_tbl.t = Fp_tbl.create 32 in
   let built = ref 0 in
   let result =
+    Telemetry.timed telemetry "moves.apply" @@ fun () ->
     List.filter_map
       (fun op ->
         match

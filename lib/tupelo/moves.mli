@@ -124,4 +124,5 @@ val successors :
     [Fira.Eval.apply_syntactic_delta] and the canonical key and a
     from-scratch fingerprint of the result are compared with the interned
     state's ([fingerprint.verify] / [fingerprint.verify.mismatch]
-    counters). *)
+    counters). Proposal and application are timed as [moves.propose] and
+    [moves.apply]. *)

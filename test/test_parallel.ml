@@ -384,6 +384,52 @@ let test_memo_domain_local () =
   Alcotest.(check int) "fresh table in a fresh domain" 0 other_domain_size;
   Alcotest.(check int) "caller's table intact" 1 (Heuristics.Memo.size memo)
 
+let test_memo_weighted () =
+  (* Weight 10 per entry and cap 100: five entries fill a generation, the
+     sixth flips it. A value heavier than a generation is never kept. *)
+  let memo : (int, int) Heuristics.Memo.t =
+    Heuristics.Memo.create ~weight:Fun.id ~cap:100 ()
+  in
+  for i = 1 to 5 do
+    ignore (Heuristics.Memo.find_or_add memo i (fun _ -> 10))
+  done;
+  Alcotest.(check int) "no flip at the bound" 0 (Heuristics.Memo.evictions memo);
+  ignore (Heuristics.Memo.find_or_add memo 6 (fun _ -> 10));
+  Alcotest.(check int) "flip past the bound" 1 (Heuristics.Memo.evictions memo);
+  let computes = ref 0 in
+  let heavy _ =
+    incr computes;
+    51
+  in
+  ignore (Heuristics.Memo.find_or_add memo 7 heavy);
+  ignore (Heuristics.Memo.find_or_add memo 7 heavy);
+  Alcotest.(check int) "heavy value recomputed" 2 !computes;
+  Alcotest.(check int) "heavy value not resident" 6 (Heuristics.Memo.size memo)
+
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+let test_memo_reclaimed () =
+  (* A dropped memo must take its tables with it, including the one a
+     second domain created. Tables held in Domain.DLS slots, which OCaml
+     never frees, keep about a million words live here. *)
+  let fill () =
+    let memo : (int, int) Heuristics.Memo.t = Heuristics.Memo.create () in
+    for i = 1 to 200 do
+      ignore (Heuristics.Memo.find_or_add memo i Fun.id)
+    done;
+    ignore (Domain.join (Domain.spawn (fun () -> Heuristics.Memo.size memo)))
+  in
+  fill ();
+  let before = live_words () in
+  for _ = 1 to 500 do
+    fill ()
+  done;
+  let grown = live_words () - before in
+  if grown > 20_000 then
+    Alcotest.failf "500 dropped memos left %d words live" grown
+
 let suite =
   [
     Alcotest.test_case "pool: map matches sequential" `Quick
@@ -424,4 +470,8 @@ let suite =
       test_memo_promote_moves_entry;
     Alcotest.test_case "memo: domain-local tables" `Quick
       test_memo_domain_local;
+    Alcotest.test_case "memo: weight bounds residency" `Quick
+      test_memo_weighted;
+    Alcotest.test_case "memo: dropped memos are reclaimed" `Quick
+      test_memo_reclaimed;
   ]

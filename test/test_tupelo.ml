@@ -616,6 +616,82 @@ let test_config_defaults () =
     && D.algorithm_of_string "beam:0" = None
     && D.algorithm_of_string "quantum" = None)
 
+(* --- successor memo and the live heap --- *)
+
+(* The shape of perfbench's cold pair: a B-shaped price list (carrier,
+   route, cost, fee) against the A-shaped target with one cost column per
+   route. Default RBFS examines 489 states on it. *)
+let cold_pair () =
+  let t = "c1x0_" in
+  let carriers = List.init 8 Fun.id and routes = List.init 3 Fun.id in
+  let carrier c = Printf.sprintf "%sC%d" t c and route r = Printf.sprintf "%sR%d" t r in
+  let cost c r = string_of_int ((100 * (c + 1)) + (10 * r)) in
+  let fee c = string_of_int (15 + c) in
+  let rel header rows = Csv.parse_relation (Csv.print (header :: rows)) in
+  let source =
+    rel
+      [ t ^ "Carrier"; t ^ "Route"; t ^ "Cost"; t ^ "AgentFee" ]
+      (List.concat_map
+         (fun c -> List.map (fun r -> [ carrier c; route r; cost c r; fee c ]) routes)
+         carriers)
+  and target =
+    rel
+      ((t ^ "Carrier") :: (t ^ "Fee") :: List.map route routes)
+      (List.map (fun c -> carrier c :: fee c :: List.map (cost c) routes) carriers)
+  in
+  ( Database.add Database.empty (t ^ "Prices") source,
+    Database.add Database.empty (t ^ "Flights") target )
+
+let test_successor_memo_counts () =
+  let source, target = cold_pair () in
+  let agg = Telemetry.Agg.create () in
+  let telemetry = Telemetry.create (Telemetry.Agg.sink agg) in
+  match D.discover (D.config ~telemetry ()) ~source ~target with
+  | D.Mapping m ->
+      let st = m.Tupelo.Mapping.stats in
+      let counter = Telemetry.Agg.counter agg in
+      (* Memoized expansions are still expansions: the paper's counts do
+         not move. *)
+      Alcotest.(check int) "examined" 489 st.Search.Space.examined;
+      Alcotest.(check int) "expanded" 488 st.Search.Space.expanded;
+      Alcotest.(check int) "generated" 548 st.Search.Space.generated;
+      (* RBFS expands 185 distinct states; 303 re-expansions are hits. *)
+      Alcotest.(check int) "successors.miss" 185 (counter "successors.miss");
+      Alcotest.(check int) "successors.hit" 303 (counter "successors.hit");
+      Alcotest.(check int) "moves.propose runs once per miss" 185
+        (Telemetry.Agg.timer_count agg "moves.propose");
+      Alcotest.(check int) "goal.test runs once per examined state" 489
+        (Telemetry.Agg.timer_count agg "goal.test");
+      (* memo.* remain the heuristic memo's: one miss per evaluation. *)
+      Alcotest.(check int) "memo.miss" 228 (counter "memo.miss");
+      Alcotest.(check int) "memo.hit" 321 (counter "memo.hit");
+      Alcotest.(check int) "memo.miss = heuristic evaluations"
+        (Telemetry.Agg.timer_count agg "heuristic.eval")
+        (counter "memo.miss")
+  | _ -> Alcotest.fail "no mapping for the cold pair"
+
+let test_discovery_heap_bounded () =
+  (* Every run creates a heuristic memo and a successor memo; once the
+     run is over, nothing may keep them alive. Memo tables held in
+     Domain.DLS slots leave about 4000 words behind per run. *)
+  let source, target = cold_pair () in
+  let growth name config =
+    let run () = ignore (D.discover config ~source ~target) in
+    run ();
+    Gc.full_major ();
+    let before = (Gc.stat ()).Gc.live_words in
+    for _ = 1 to 40 do
+      run ()
+    done;
+    Gc.full_major ();
+    let grown = (Gc.stat ()).Gc.live_words - before in
+    if grown > 20_000 then
+      Alcotest.failf "%s: 40 discoveries left %d words live" name grown
+  in
+  growth "rbfs, jobs 1" (D.config ());
+  growth "astar, jobs 2" (D.config ~algorithm:D.Astar ~jobs:2 ());
+  growth "portfolio, jobs 2" (D.config ~algorithm:D.Portfolio ~jobs:2 ())
+
 let suite =
   [
     Alcotest.test_case "goal modes" `Quick test_goal_modes;
@@ -653,4 +729,8 @@ let suite =
     Alcotest.test_case "matching: scoring" `Quick test_matching_score;
     Alcotest.test_case "matching: BAMM ground truth" `Quick test_matching_on_bamm_truth;
     Alcotest.test_case "config defaults" `Quick test_config_defaults;
+    Alcotest.test_case "successor memo: cold-pair counts" `Quick
+      test_successor_memo_counts;
+    Alcotest.test_case "discover: live heap bounded over repeated runs" `Quick
+      test_discovery_heap_bounded;
   ]
