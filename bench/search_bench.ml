@@ -1,13 +1,16 @@
 (* E6: state-identity throughput — fingerprinted incremental states versus
    the canonical-key baseline, measured on the same searches.
 
-   The baseline replicates the pre-fingerprint hot path exactly: a state
+   The baseline replicates the pre-fingerprint state bookkeeping: a state
    is a database plus a lazily cached [Database.canonical_key] and a
    lazily cached from-scratch [Profile.of_database] — every generated
    successor pays one full canonical-key serialization (the dedup and
    closed-set identity), the cell-count guard rescans the successor, and
    every scored state pays one full profile construction (memoized on the
-   canonical key, as the old engine did). The fingerprint path is the
+   canonical key, as the old engine did). It proposes with the production
+   [Moves.candidates] over a per-state interned conversion of the boxed
+   database, so the two legs differ in state bookkeeping, not in the
+   proposal rules. The fingerprint path is the
    production one: [Tupelo.State] states built with [Moves.successors],
    which maintains the 128-bit fingerprint, the cell count and the
    heuristic profile in O(cells changed) from the parent via the
@@ -163,7 +166,9 @@ let run_baseline ~registry ~target ~budget alg source =
     let key s = Lazy.force s.bkey
 
     let successors s =
-      let ops = Tupelo.Moves.candidates config registry info s.db in
+      let ops =
+        Tupelo.Moves.candidates config registry info (Idb.of_database s.db)
+      in
       let seen : (string, unit) Hashtbl.t = Hashtbl.create 32 in
       List.filter_map
         (fun op ->

@@ -5,109 +5,24 @@ exception Error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
-let explain_inapplicable registry op db =
-  let rel_exists name k =
-    match Database.find_opt db name with
-    | None -> Some (Printf.sprintf "no relation %S" name)
-    | Some r -> k r
-  in
-  let has_col r name k =
-    if Schema.mem (Relation.schema r) name then k ()
-    else Some (Printf.sprintf "no column %S" name)
-  in
-  let no_col r name k =
-    if Schema.mem (Relation.schema r) name then
-      Some (Printf.sprintf "column %S already present" name)
-    else k ()
-  in
-  match op with
-  | Op.Promote { rel; name_col; value_col } ->
-      rel_exists rel (fun r ->
-          has_col r name_col (fun () -> has_col r value_col (fun () -> None)))
-  | Op.Demote { rel; att_att; rel_att } ->
-      rel_exists rel (fun r ->
-          if att_att = rel_att then Some "demote columns must differ"
-          else no_col r att_att (fun () -> no_col r rel_att (fun () -> None)))
-  | Op.Dereference { rel; target; pointer_col } ->
-      rel_exists rel (fun r ->
-          has_col r pointer_col (fun () -> no_col r target (fun () -> None)))
-  | Op.Partition { rel; col } ->
-      rel_exists rel (fun r ->
-          has_col r col (fun () ->
-              (* Every group name must be usable and must not clash with a
-                 surviving relation. *)
-              let clashes =
-                List.filter_map
-                  (fun v ->
-                    match v with
-                    | Value.Null -> None
-                    | v ->
-                        let name = Value.to_string v in
-                        if name = "" then Some "empty group name"
-                        else if Database.mem db name && name <> rel then
-                          Some (Printf.sprintf "relation %S already exists" name)
-                        else None)
-                  (Relation.column_distinct r col)
-              in
-              match clashes with [] -> None | reason :: _ -> Some reason))
-  | Op.Product { left; right; out } ->
-      rel_exists left (fun l ->
-          rel_exists right (fun r ->
-              if Database.mem db out then
-                Some (Printf.sprintf "relation %S already exists" out)
-              else if Schema.inter (Relation.schema l) (Relation.schema r) <> []
-              then Some "product operands share attributes"
-              else None))
-  | Op.Drop { rel; col } ->
-      rel_exists rel (fun r ->
-          has_col r col (fun () ->
-              if Schema.arity (Relation.schema r) <= 1 then
-                Some "cannot drop the last column"
-              else None))
-  | Op.Merge { rel; col } -> rel_exists rel (fun r -> has_col r col (fun () -> None))
-  | Op.RenameAtt { rel; old_name; new_name } ->
-      rel_exists rel (fun r ->
-          has_col r old_name (fun () ->
-              if old_name = new_name then Some "rename to same name"
-              else no_col r new_name (fun () -> None)))
-  | Op.RenameRel { old_name; new_name } ->
-      rel_exists old_name (fun _ ->
-          if old_name = new_name then Some "rename to same name"
-          else if Database.mem db new_name then
-            Some (Printf.sprintf "relation %S already exists" new_name)
-          else None)
-  | Op.Union { left; right; out } | Op.Diff { left; right; out } ->
-      rel_exists left (fun l ->
-          rel_exists right (fun r ->
-              if not (Schema.equal (Relation.schema l) (Relation.schema r))
-              then Some "operand schemas differ"
-              else if Database.mem db out && out <> left && out <> right then
-                Some (Printf.sprintf "relation %S already exists" out)
-              else None))
-  | Op.Join { left; right; out } ->
-      rel_exists left (fun _ ->
-          rel_exists right (fun _ ->
-              if Database.mem db out && out <> left && out <> right then
-                Some (Printf.sprintf "relation %S already exists" out)
-              else None))
-  | Op.Select { rel; pred = _ } -> rel_exists rel (fun _ -> None)
-  | Op.Apply { rel; func; inputs; output } ->
-      rel_exists rel (fun r ->
-          match Semfun.find registry func with
-          | None -> Some (Printf.sprintf "unknown function %S" func)
-          | Some f ->
-              if Semfun.arity f <> List.length inputs then
-                Some
-                  (Printf.sprintf "function %S has arity %d, got %d inputs"
-                     func (Semfun.arity f) (List.length inputs))
-              else
-                let rec check = function
-                  | [] -> no_col r output (fun () -> None)
-                  | a :: rest ->
-                      if Schema.mem (Relation.schema r) a then check rest
-                      else Some (Printf.sprintf "no column %S" a)
-                in
-                check inputs)
+module Boxed_check = Applicability.Make (struct
+  type db = Database.t
+  type rel = Relation.t
+  type name = string
+
+  let name s = s
+  let string_of_name s = s
+  let find_opt = Database.find_opt
+  let mem = Database.mem
+  let mem_att r a = Schema.mem (Relation.schema r) a
+  let arity r = Schema.arity (Relation.schema r)
+  let atts r = Array.of_list (Relation.attributes r)
+
+  let group_names r col =
+    List.map (fun (v, _) -> Value.to_string v) (Relation.partition r col)
+end)
+
+let explain_inapplicable = Boxed_check.explain_inapplicable
 
 let applicable registry op db = explain_inapplicable registry op db = None
 
@@ -211,128 +126,24 @@ let idelta_cells d =
   let sum rs = List.fold_left (fun n (_, r) -> n + Irel.cells r) 0 rs in
   sum d.iadded - sum d.iremoved
 
-(* Mirror of [explain_inapplicable] over the interned form: same checks,
-   same outcomes, same reason strings. Name ids are interned on demand —
-   cheap hash hits for names that already live in the pool. *)
-let iexplain_inapplicable registry op idb =
-  let rel_exists name k =
-    match Idb.find_opt idb (Intern.string_id name) with
-    | None -> Some (Printf.sprintf "no relation %S" name)
-    | Some r -> k r
-  in
-  let has_col r name k =
-    if Irel.mem_att r (Intern.string_id name) then k ()
-    else Some (Printf.sprintf "no column %S" name)
-  in
-  let no_col r name k =
-    if Irel.mem_att r (Intern.string_id name) then
-      Some (Printf.sprintf "column %S already present" name)
-    else k ()
-  in
-  match op with
-  | Op.Promote { rel; name_col; value_col } ->
-      rel_exists rel (fun r ->
-          has_col r name_col (fun () -> has_col r value_col (fun () -> None)))
-  | Op.Demote { rel; att_att; rel_att } ->
-      rel_exists rel (fun r ->
-          if att_att = rel_att then Some "demote columns must differ"
-          else no_col r att_att (fun () -> no_col r rel_att (fun () -> None)))
-  | Op.Dereference { rel; target; pointer_col } ->
-      rel_exists rel (fun r ->
-          has_col r pointer_col (fun () -> no_col r target (fun () -> None)))
-  | Op.Partition { rel; col } ->
-      rel_exists rel (fun r ->
-          has_col r col (fun () ->
-              let rel_id = Intern.string_id rel in
-              let col_idx =
-                match Irel.index_of_opt r (Intern.string_id col) with
-                | Some j -> j
-                | None -> assert false
-              in
-              let clashes =
-                List.filter_map
-                  (fun v ->
-                    if Intern.value_is_null v then None
-                    else
-                      let name = Intern.value_str_id v in
-                      if name = Intern.empty_string_id then
-                        Some "empty group name"
-                      else if Idb.mem idb name && name <> rel_id then
-                        Some
-                          (Printf.sprintf "relation %S already exists"
-                             (Intern.string_of_id name))
-                      else None)
-                  (List.sort_uniq Intern.compare_values
-                     (Array.to_list (Irel.col_ids r col_idx)))
-              in
-              match clashes with [] -> None | reason :: _ -> Some reason))
-  | Op.Product { left; right; out } ->
-      rel_exists left (fun l ->
-          rel_exists right (fun r ->
-              if Idb.mem idb (Intern.string_id out) then
-                Some (Printf.sprintf "relation %S already exists" out)
-              else if
-                Array.exists (fun att -> Irel.mem_att r att) (Irel.atts l)
-              then Some "product operands share attributes"
-              else None))
-  | Op.Drop { rel; col } ->
-      rel_exists rel (fun r ->
-          has_col r col (fun () ->
-              if Irel.arity r <= 1 then Some "cannot drop the last column"
-              else None))
-  | Op.Merge { rel; col } ->
-      rel_exists rel (fun r -> has_col r col (fun () -> None))
-  | Op.RenameAtt { rel; old_name; new_name } ->
-      rel_exists rel (fun r ->
-          has_col r old_name (fun () ->
-              if old_name = new_name then Some "rename to same name"
-              else no_col r new_name (fun () -> None)))
-  | Op.RenameRel { old_name; new_name } ->
-      rel_exists old_name (fun _ ->
-          if old_name = new_name then Some "rename to same name"
-          else if Idb.mem idb (Intern.string_id new_name) then
-            Some (Printf.sprintf "relation %S already exists" new_name)
-          else None)
-  | Op.Union { left; right; out } | Op.Diff { left; right; out } ->
-      rel_exists left (fun l ->
-          rel_exists right (fun r ->
-              let sorted rel =
-                List.sort Intern.compare_strings
-                  (Array.to_list (Irel.atts rel))
-              in
-              if not (List.equal Int.equal (sorted l) (sorted r)) then
-                Some "operand schemas differ"
-              else if
-                Idb.mem idb (Intern.string_id out)
-                && out <> left && out <> right
-              then Some (Printf.sprintf "relation %S already exists" out)
-              else None))
-  | Op.Join { left; right; out } ->
-      rel_exists left (fun _ ->
-          rel_exists right (fun _ ->
-              if
-                Idb.mem idb (Intern.string_id out)
-                && out <> left && out <> right
-              then Some (Printf.sprintf "relation %S already exists" out)
-              else None))
-  | Op.Select { rel; pred = _ } -> rel_exists rel (fun _ -> None)
-  | Op.Apply { rel; func; inputs; output } ->
-      rel_exists rel (fun r ->
-          match Semfun.find registry func with
-          | None -> Some (Printf.sprintf "unknown function %S" func)
-          | Some f ->
-              if Semfun.arity f <> List.length inputs then
-                Some
-                  (Printf.sprintf "function %S has arity %d, got %d inputs"
-                     func (Semfun.arity f) (List.length inputs))
-              else
-                let rec check = function
-                  | [] -> no_col r output (fun () -> None)
-                  | a :: rest ->
-                      if Irel.mem_att r (Intern.string_id a) then check rest
-                      else Some (Printf.sprintf "no column %S" a)
-                in
-                check inputs)
+module Interned_check = Applicability.Make (struct
+  type db = Idb.t
+  type rel = Irel.t
+  type name = int
+
+  let name = Intern.string_id
+  let string_of_name = Intern.string_of_id
+  let find_opt = Idb.find_opt
+  let mem = Idb.mem
+  let mem_att = Irel.mem_att
+  let arity = Irel.arity
+  let atts = Irel.atts
+
+  let group_names r col =
+    List.map Intern.value_str_id (Irel.partition_keys r col)
+end)
+
+let iexplain_inapplicable = Interned_check.explain_inapplicable
 
 let iapplicable registry op idb = iexplain_inapplicable registry op idb = None
 

@@ -10,7 +10,11 @@ val applicable : Semfun.registry -> Op.t -> Database.t -> bool
     arity, ….) Never raises. *)
 
 val explain_inapplicable : Semfun.registry -> Op.t -> Database.t -> string option
-(** [None] when applicable, otherwise a human-readable reason. *)
+(** [None] when applicable, otherwise a human-readable reason: the one
+    check of {!Applicability} over the boxed database. ℘'s group names
+    follow {!Relational.Relation.classes}: one group per
+    {!Relational.Value.compare} class of the column's non-null values,
+    named by the class's first value in canonical row order. *)
 
 val apply : Semfun.registry -> Op.t -> Database.t -> Database.t
 (** Apply one operator. λ applications use {!Semfun.apply} (implementation
@@ -79,9 +83,12 @@ type idelta = {
 val idelta_cells : idelta -> int
 
 val iapplicable : Semfun.registry -> Op.t -> Idb.t -> bool
-(** Mirror of {!applicable} over the interned form. *)
+(** {!applicable} over the interned form. *)
 
 val iexplain_inapplicable : Semfun.registry -> Op.t -> Idb.t -> string option
+(** The same {!Applicability} check as {!explain_inapplicable}, over the
+    interned form: same outcome and reason string on corresponding
+    databases. *)
 
 val apply_interned_delta :
   semantics:[ `Full | `Syntactic ] ->

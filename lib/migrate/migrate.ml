@@ -19,7 +19,8 @@
      µ's fixpoint is order-dependent, so replicating the boxed feeding
      order is what keeps chunked ≡ sequential.
    - ℘ (partition): per-chunk partitions are regrouped by key value
-     equivalence class; a class's chunk-groups simply become the chunks
+     equivalence class (Relation.classes, the grouping rule every
+     evaluator shares); a class's chunk-groups simply become the chunks
      of the output relation.
    - − (diff): the right side is materialized once as a sorted row
      array; left chunks filter against it by binary search, in parallel.
@@ -155,99 +156,29 @@ let config ?(chunk_rows = 65536) ?jobs ?(semantics = `Full)
   if jobs < 1 then invalid_arg "Migrate.config: jobs must be >= 1";
   { chunk_rows; jobs; semantics; telemetry; stop }
 
-(* Mirror of Fira.Eval's applicability checks over the chunked form: same
-   checks, same outcomes, same reason strings — a program that fails
-   sequentially fails here with the same message. The ℘ group-name checks
-   need the cross-chunk distinct values and run inside the operator. *)
-let cexplain_inapplicable registry op (cdb : Cdb.t) =
-  let rel_exists name k =
-    match Cdb.find_opt cdb (Intern.string_id name) with
-    | None -> Some (Printf.sprintf "no relation %S" name)
-    | Some r -> k r
-  in
-  let mem_att r name = Array.mem (Intern.string_id name) r.Cdb.catts in
-  let has_col r name k =
-    if mem_att r name then k () else Some (Printf.sprintf "no column %S" name)
-  in
-  let no_col r name k =
-    if mem_att r name then Some (Printf.sprintf "column %S already present" name)
-    else k ()
-  in
-  match op with
-  | Op.Promote { rel; name_col; value_col } ->
-      rel_exists rel (fun r ->
-          has_col r name_col (fun () -> has_col r value_col (fun () -> None)))
-  | Op.Demote { rel; att_att; rel_att } ->
-      rel_exists rel (fun r ->
-          if att_att = rel_att then Some "demote columns must differ"
-          else no_col r att_att (fun () -> no_col r rel_att (fun () -> None)))
-  | Op.Dereference { rel; target; pointer_col } ->
-      rel_exists rel (fun r ->
-          has_col r pointer_col (fun () -> no_col r target (fun () -> None)))
-  | Op.Partition { rel; col } ->
-      rel_exists rel (fun r -> has_col r col (fun () -> None))
-  | Op.Product { left; right; out } ->
-      rel_exists left (fun l ->
-          rel_exists right (fun r ->
-              if Cdb.mem cdb (Intern.string_id out) then
-                Some (Printf.sprintf "relation %S already exists" out)
-              else if Array.exists (fun att -> Array.mem att r.Cdb.catts) l.Cdb.catts
-              then Some "product operands share attributes"
-              else None))
-  | Op.Drop { rel; col } ->
-      rel_exists rel (fun r ->
-          has_col r col (fun () ->
-              if Array.length r.Cdb.catts <= 1 then
-                Some "cannot drop the last column"
-              else None))
-  | Op.Merge { rel; col } -> rel_exists rel (fun r -> has_col r col (fun () -> None))
-  | Op.RenameAtt { rel; old_name; new_name } ->
-      rel_exists rel (fun r ->
-          has_col r old_name (fun () ->
-              if old_name = new_name then Some "rename to same name"
-              else no_col r new_name (fun () -> None)))
-  | Op.RenameRel { old_name; new_name } ->
-      rel_exists old_name (fun _ ->
-          if old_name = new_name then Some "rename to same name"
-          else if Cdb.mem cdb (Intern.string_id new_name) then
-            Some (Printf.sprintf "relation %S already exists" new_name)
-          else None)
-  | Op.Union { left; right; out } | Op.Diff { left; right; out } ->
-      rel_exists left (fun l ->
-          rel_exists right (fun r ->
-              let sorted rel =
-                List.sort Intern.compare_strings (Array.to_list rel.Cdb.catts)
-              in
-              if not (List.equal Int.equal (sorted l) (sorted r)) then
-                Some "operand schemas differ"
-              else if
-                Cdb.mem cdb (Intern.string_id out) && out <> left && out <> right
-              then Some (Printf.sprintf "relation %S already exists" out)
-              else None))
-  | Op.Join { left; right; out } ->
-      rel_exists left (fun _ ->
-          rel_exists right (fun _ ->
-              if Cdb.mem cdb (Intern.string_id out) && out <> left && out <> right
-              then Some (Printf.sprintf "relation %S already exists" out)
-              else None))
-  | Op.Select { rel; pred = _ } -> rel_exists rel (fun _ -> None)
-  | Op.Apply { rel; func; inputs; output } ->
-      rel_exists rel (fun r ->
-          match Semfun.find registry func with
-          | None -> Some (Printf.sprintf "unknown function %S" func)
-          | Some f ->
-              if Semfun.arity f <> List.length inputs then
-                Some
-                  (Printf.sprintf "function %S has arity %d, got %d inputs" func
-                     (Semfun.arity f) (List.length inputs))
-              else
-                let rec check = function
-                  | [] -> no_col r output (fun () -> None)
-                  | a :: rest ->
-                      if mem_att r a then check rest
-                      else Some (Printf.sprintf "no column %S" a)
-                in
-                check inputs)
+module Chunked_check = Fira.Applicability.Make (struct
+  type db = Cdb.t
+  type rel = Cdb.crel
+  type name = int
+
+  let name = Intern.string_id
+  let string_of_name = Intern.string_of_id
+  let find_opt = Cdb.find_opt
+  let mem = Cdb.mem
+  let mem_att r a = Array.mem a r.Cdb.catts
+  let arity r = Array.length r.Cdb.catts
+  let atts r = r.Cdb.catts
+
+  (* Each chunk's class keys, regrouped in chunk order: a class is named
+     by its first value in the first chunk holding it. *)
+  let group_names r col =
+    List.concat_map (fun c -> Irel.partition_keys c col) r.Cdb.cchunks
+    |> List.map (fun k -> (k, ()))
+    |> Relation.classes Intern.compare_values
+    |> List.map (fun (k, _) -> Intern.value_str_id k)
+end)
+
+let cexplain_inapplicable = Chunked_check.explain_inapplicable
 
 let mem_sorted sorted row =
   let lo = ref 0 and hi = ref (Array.length sorted) in
@@ -485,85 +416,16 @@ let apply_op cfg registry pool op cdb =
           (Cdb.crel catts (List.map fst splits @ merged_chunks))
       end
   | Op.Partition { rel; col } ->
-      let rel_id = id rel in
+      (* Each chunk's classes, regrouped in chunk order by the shared rule
+         (as the check names them); a class's chunk-groups become the
+         chunks of its output relation. *)
       let r = find rel in
-      let catts = r.Cdb.catts in
-      let ki = att_index catts (id col) in
-      (* Single-pass per-chunk grouping (Irel.partition scans the column
-         once per distinct value — O(distinct × rows)): bucket row indices
-         by exact value id, then collapse Value.compare-equal ids (mixed
-         numeric spellings only) into one group per class. *)
-      let parts =
-        pmap
-          (fun c ->
-            let kids = Irel.col_ids c ki in
-            let buckets : (int, int list ref) Hashtbl.t = Hashtbl.create 64 in
-            let order = ref [] in
-            Array.iteri
-              (fun i kid ->
-                if kid <> Intern.null_value_id then
-                  match Hashtbl.find_opt buckets kid with
-                  | Some l -> l := i :: !l
-                  | None ->
-                      Hashtbl.add buckets kid (ref [ i ]);
-                      order := kid :: !order)
-              kids;
-            let reps = ref [] in
-            List.iter
-              (fun kid ->
-                match
-                  List.find_opt
-                    (fun (rep, _) -> Intern.compare_values rep kid = 0)
-                    !reps
-                with
-                | Some (_, l) -> l := kid :: !l
-                | None -> reps := (kid, ref [ kid ]) :: !reps)
-              (List.rev !order);
-            List.rev_map
-              (fun (rep, kids_of_class) ->
-                let idxs =
-                  List.concat_map
-                    (fun kid -> !(Hashtbl.find buckets kid))
-                    !kids_of_class
-                  |> List.sort_uniq compare |> Array.of_list
-                in
-                (rep, Irel.take_idx c idxs))
-              !reps)
-          r.Cdb.cchunks
-      in
-      (* Regroup per-chunk groups by key value equivalence class; each
-         class's chunk-groups become the output relation's chunks. *)
-      let sorted =
-        List.stable_sort
-          (fun (a, _) (b, _) -> Intern.compare_values a b)
-          (List.concat parts)
-      in
-      let classes =
-        List.fold_left
-          (fun acc (v, g) ->
-            match acc with
-            | (v0, gs) :: rest when Intern.compare_values v0 v = 0 ->
-                (v0, g :: gs) :: rest
-            | _ -> (v, [ g ]) :: acc)
-          [] sorted
-        |> List.rev_map (fun (v, gs) -> (v, List.rev gs))
-      in
-      (* The group-name checks of the sequential applicability test, in the
-         same (sorted-value) order, so the first reason matches. *)
-      List.iter
-        (fun (v, _) ->
-          let name = Intern.value_str_id v in
-          if name = Intern.empty_string_id then
-            error "migrate: %s inapplicable: empty group name" (Op.to_string op)
-          else if Cdb.mem cdb name && name <> rel_id then
-            error "migrate: %s inapplicable: relation %S already exists"
-              (Op.to_string op) (Intern.string_of_id name))
-        classes;
-      let cdb = Cdb.remove cdb rel_id in
       List.fold_left
         (fun cdb (v, gs) ->
-          Cdb.add cdb (Intern.value_str_id v) (Cdb.crel catts gs))
-        cdb classes
+          Cdb.add cdb (Intern.value_str_id v) (Cdb.crel r.Cdb.catts gs))
+        (Cdb.remove cdb (id rel))
+        (Relation.classes Intern.compare_values
+           (List.concat (pmap (fun c -> Irel.partition c (id col)) r.Cdb.cchunks)))
   | Op.Product { left; right; out } ->
       let l = find left and rt = find right in
       let catts' = Array.append l.Cdb.catts rt.Cdb.catts in

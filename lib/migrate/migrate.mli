@@ -14,9 +14,10 @@
     Per-row operators (ρ/↓/→/λ/π̄/σ) apply to each chunk independently.
     Operators whose result depends on the whole relation run a
     partition-then-merge plan: ↑ takes a global new-column pass before
-    the per-chunk rebuild, µ and ℘ regroup rows across chunks by the key
-    value's printed form, − probes a sorted materialization of the right
-    side, ∪ concatenates chunk lists, and ⋈ (never emitted by discovery)
+    the per-chunk rebuild, µ regroups rows across chunks by the key
+    value's printed form and ℘ by its {!Value.compare} class, − probes a
+    sorted materialization of the right side, ∪ concatenates chunk
+    lists, and ⋈ (never emitted by discovery)
     coalesces and delegates to the boxed implementation. Chunks stay
     canonical internally but may duplicate rows {e across} chunks;
     {!Cdb.to_idb} performs the final global canonicalization. The result
@@ -107,8 +108,11 @@ val run :
     [jobs] domains. Emits telemetry per operator: [migrate.rows] /
     [migrate.chunk] counters (input rows/chunks) and a
     [migrate.op.<kind>] timer, all inside a [migrate] span.
-    @raise Error when a step is inapplicable (mirrors {!Fira.Eval}'s
-    checks and reason strings).
+    @raise Error when a step is inapplicable: the {!Fira.Applicability}
+    check over the chunked form, so the reason string is
+    {!Fira.Eval.explain_inapplicable}'s. ℘ names its groups by the same
+    rule ({!Relational.Relation.classes}), taking a class's first value in
+    chunk order.
     @raise Cancelled when [stop] fires between operators or phases. *)
 
 val run_idb :

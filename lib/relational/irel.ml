@@ -596,25 +596,42 @@ let extend_cols r atts cols =
     (Array.append r.cols (Array.map2 fresh_col atts cols))
     r.nrows
 
-let partition r att =
-  let ai = index_of r att in
-  let values = column_distinct r ai in
-  List.filter_map
-    (fun v ->
-      if v = null_id then None
-      else begin
-        let mask = Array.make r.nrows false in
-        let kept = ref 0 in
-        Array.iteri
-          (fun i id ->
-            if Intern.equal_values id v then begin
-              mask.(i) <- true;
-              incr kept
-            end)
-          r.cols.(ai).ids;
-        Some (v, filter_rows r mask !kept)
+let partition_keys r att =
+  let seen = Hashtbl.create 16 in
+  let firsts = ref [] in
+  Array.iter
+    (fun id ->
+      if id <> null_id && not (Hashtbl.mem seen id) then begin
+        Hashtbl.add seen id ();
+        firsts := (id, ()) :: !firsts
       end)
-    values
+    r.cols.(index_of r att).ids;
+  List.map fst (Relation.classes Intern.compare_values (List.rev !firsts))
+
+let partition r att =
+  (* One hashing pass buckets row indices by exact value id, buckets in
+     first-seen row order; [Relation.classes] then merges the buckets of
+     Value.compare-equal ids (mixed numeric spellings only). *)
+  let buckets = Hashtbl.create 16 in
+  let order = ref [] in
+  Array.iteri
+    (fun i id ->
+      if id <> null_id then
+        match Hashtbl.find_opt buckets id with
+        | Some l -> l := i :: !l
+        | None ->
+            Hashtbl.add buckets id (ref [ i ]);
+            order := id :: !order)
+    r.cols.(index_of r att).ids;
+  List.rev_map (fun id -> (id, List.rev !(Hashtbl.find buckets id))) !order
+  |> Relation.classes Intern.compare_values
+  |> List.map (fun (v, idxs) ->
+         let idxs =
+           match idxs with
+           | [ l ] -> l
+           | ls -> List.sort Int.compare (List.concat ls)
+         in
+         (v, take_idx r (Array.of_list idxs)))
 
 let project_away r att =
   let i = index_of r att in

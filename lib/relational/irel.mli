@@ -88,8 +88,11 @@ val merge : t -> int -> t
     {!mu_identity} holds, otherwise after grouping the rows. *)
 
 val partition : t -> int -> (int * t) list
-(** Groups by distinct non-null column value (in {!Value.compare} order),
-    as (value id, group) pairs. *)
+(** {!Relation.partition}: (key value id, group) pairs, one per
+    {!Value.compare} class of non-null column values. *)
+
+val partition_keys : t -> int -> int list
+(** The key value ids of {!partition}, without building the groups. *)
 
 val product : t -> t -> t
 val project_away : t -> int -> t

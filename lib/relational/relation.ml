@@ -231,16 +231,25 @@ let merge r att =
   in
   { r with rows = canonicalize rows' }
 
+let classes compare keyed =
+  List.fold_left
+    (fun acc (k, x) ->
+      match acc with
+      | (k0, xs) :: rest when compare k0 k = 0 -> (k0, x :: xs) :: rest
+      | _ -> (k, [ x ]) :: acc)
+    []
+    (List.stable_sort (fun (a, _) (b, _) -> compare a b) keyed)
+  |> List.rev_map (fun (k, xs) -> (k, List.rev xs))
+
 let partition r att =
-  let values = column_distinct r att in
+  let ai = Schema.index_of r.schema att in
   List.filter_map
-    (fun v ->
-      if Value.is_null v then None
-      else
-        let ai = Schema.index_of r.schema att in
-        let rows = List.filter (fun row -> Value.equal (Row.cell row ai) v) r.rows in
-        Some (v, { r with rows }))
-    values
+    (fun row ->
+      let v = Row.cell row ai in
+      if Value.is_null v then None else Some (v, row))
+    r.rows
+  |> classes Value.compare
+  |> List.map (fun (v, rows) -> (v, { r with rows }))
 
 (* ------------------------------------------------------------------ *)
 

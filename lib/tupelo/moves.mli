@@ -35,7 +35,10 @@
       target's values (the output may be intermediate, e.g. promoted away
       by a later ↑).
 
-    Every candidate is finally checked with [Fira.Eval.applicable]. *)
+    Proposal runs over the interned form ({!Relational.Idb}). Every
+    candidate is finally checked with {!Fira.Eval.iapplicable}, the
+    interned instance of the one applicability check
+    ({!Fira.Applicability}). *)
 
 open Relational
 
@@ -68,38 +71,29 @@ type config = {
           tiny, so the default of 4096 is far above any useful state. The
           bound is checked against the parent's cell count plus the
           operator's delta, before the successor state is built *)
-  paranoid_fingerprints : bool;
-      (** verify every fingerprint-based dedup hit in {!successors} against
-          the full canonical keys, emitting a [fingerprint.verify.mismatch]
-          telemetry counter on a (astronomically unlikely) collision *)
 }
 
 val default : Goal.mode -> config
 (** Everything enabled (including [rename_value_check]);
-    [max_lambda_inputs = 64]; [max_state_cells = 4096];
-    [paranoid_fingerprints] follows the [TUPELO_FP_VERIFY] environment
-    variable ([1]/[true]/[yes] to enable). *)
+    [max_lambda_inputs = 64]; [max_state_cells = 4096]. *)
 
 (** Target features consulted by the pruning rules, computed once per
     discovery run. *)
 type target_info
 
 val target_info : Database.t -> target_info
-val target_db : target_info -> Database.t
 
 val target_idb : target_info -> Idb.t
 (** The target in interned form, converted once. *)
 
 val candidates :
-  config -> Fira.Semfun.registry -> target_info -> Database.t -> Fira.Op.t list
-(** Deterministically ordered list of applicable operator instances. *)
-
-val icandidates :
   config -> Fira.Semfun.registry -> target_info -> Idb.t -> Fira.Op.t list
-(** {!candidates} over the interned form: returns the SAME operator list
-    as [candidates config registry target (Idb.to_database idb)]
-    (property-tested) without touching boxed relations — membership and
-    value-overlap pruning run over cached id-sorted arrays. *)
+(** Deterministically ordered, duplicate-free list of applicable operator
+    instances: relations in name order, attributes in schema order, target
+    names in string order. Membership and value-overlap pruning run over
+    cached id-sorted arrays; no boxed relation is built. Property-tested
+    against a brute-force enumeration of Table 1 filtered by the boxed
+    {!Fira.Eval.applicable}. *)
 
 val successors :
   ?telemetry:Telemetry.t ->
@@ -108,7 +102,7 @@ val successors :
   target_info ->
   State.t ->
   (Fira.Op.t * State.t) list
-(** {!icandidates} applied with the search-time (syntactic λ) semantics
+(** {!candidates} applied with the search-time (syntactic λ) semantics
     over the parent's interned database; each successor state is built
     incrementally from its parent via {!State.of_isuccessor} (counted on
     the [fingerprint.incremental] telemetry counter) and deduplicated by
@@ -118,11 +112,5 @@ val successors :
     collision — fingerprint-equal but content-distinct — keeps both states
     and counts [fingerprint.collision]. Successors that fail to change the
     state are kept — cycle detection in the search layer removes them —
-    but duplicates within the list are dropped. With
-    [paranoid_fingerprints], every successor is additionally cross-checked
-    against the boxed evaluation path: the operator is re-applied with
-    [Fira.Eval.apply_syntactic_delta] and the canonical key and a
-    from-scratch fingerprint of the result are compared with the interned
-    state's ([fingerprint.verify] / [fingerprint.verify.mismatch]
-    counters). Proposal and application are timed as [moves.propose] and
-    [moves.apply]. *)
+    but duplicates within the list are dropped. Proposal and application
+    are timed as [moves.propose] and [moves.apply]. *)

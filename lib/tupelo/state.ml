@@ -2,7 +2,7 @@ open Relational
 
 (* States carry the interned columnar database (Idb.t) — the form the
    successor-generation hot path reads and writes — and materialize the
-   boxed Database.t only on demand (goal reporting, paranoid verification,
+   boxed Database.t only on demand (goal reporting,
    tests, server responses).
 
    The profile is maintained incrementally but computed on demand: a fresh
@@ -24,7 +24,7 @@ type t = {
   mutable db : Database.t option;  (* boxed view, converted on demand *)
   mutable profile : profile_state;
   mutable key : string option;
-      (* canonical key: paranoid verification and tests *)
+      (* canonical key: tests and boxed cross-checks *)
   mutable score : (Heuristics.Vector.t * float * int) option;
       (* cosine parts (dot, sq_norm) against one target vector, keyed by
          physical identity of that vector — see [cosine_parts] *)

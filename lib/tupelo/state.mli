@@ -9,7 +9,7 @@
 
     The database itself lives in the interned columnar form
     ({!Relational.Idb.t}); the boxed {!Relational.Database.t} view is
-    converted on demand (goal reporting, paranoid verification, tests) and
+    converted on demand (goal reporting, tests) and
     cached. The fingerprint and cell count are computed eagerly (they gate
     deduplication and pruning before a successor is even kept); the profile
     is maintained incrementally but materialized on first use, so

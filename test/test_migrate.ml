@@ -205,6 +205,112 @@ let test_cdb_roundtrip () =
       (Idb.canonical_equal idb (Migrate.Cdb.to_idb cdb))
   done
 
+(* --- one applicability check ---
+
+   Every operator instance over a scenario database's names, plus an
+   absent relation and attribute, with no applicability filter: the boxed
+   check, the interned check and a chunked run (chunk_rows 1 and 3) must
+   agree exactly — all applicable, or all inapplicable for the same
+   reason. Scenario data names relations in its cells, so ℘ group-name
+   clashes occur; a relation named after the first cell of the database
+   adds more. *)
+
+let migrate_reason registry op db ~chunk_rows =
+  let cfg = Migrate.config ~chunk_rows ~jobs:1 () in
+  match
+    Migrate.run ~registry cfg (Fira.Expr.of_ops [ op ])
+      (Migrate.Cdb.of_database ~chunk_rows db)
+  with
+  | _ -> None
+  | exception Migrate.Error m ->
+      let prefix =
+        Printf.sprintf "migrate: %s inapplicable: " (Fira.Op.to_string op)
+      in
+      let n = String.length prefix in
+      if String.starts_with ~prefix m then
+        Some (String.sub m n (String.length m - n))
+      else Some ("unexpected error: " ^ m)
+
+(* [db] plus a relation named by its first non-null cell, when that name
+   is free. *)
+let with_clash db =
+  let first_value =
+    List.find_opt (fun v -> not (Value.is_null v)) (Database.all_values db)
+  in
+  match (first_value, Database.relations db) with
+  | Some v, (_, r) :: _ when not (Database.mem db (Value.to_string v)) ->
+      Database.add db (Value.to_string v) r
+  | _ -> db
+
+let check_cross_form registry db =
+  let idb = Idb.of_database db in
+  let rels = Database.relation_names db @ [ "Absent" ] in
+  let atts = Database.all_attributes db @ [ "absent" ] in
+  List.for_all
+    (fun op ->
+      let boxed = Fira.Eval.explain_inapplicable registry op db in
+      let agree =
+        Fira.Eval.iexplain_inapplicable registry op idb = boxed
+        && migrate_reason registry op db ~chunk_rows:1 = boxed
+        && migrate_reason registry op db ~chunk_rows:3 = boxed
+      in
+      if not agree then
+        QCheck2.Test.fail_reportf "%s on %s: boxed %s" (Fira.Op.to_string op)
+          (Database.canonical_key db)
+          (Option.value boxed ~default:"applicable");
+      agree)
+    (All_ops.all ~registry ~rels ~atts)
+
+let prop_one_applicability_check =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:50
+       ~name:"applicability: boxed = interned = chunked, reason for reason"
+       QCheck2.Gen.(pair (int_bound 1_000_000) (int_range 0 3))
+       (fun (seed, depth) ->
+         let s = Scenario.generate ~depth seed in
+         List.for_all
+           (check_cross_form s.registry)
+           [ s.source; s.target; with_clash s.source ]))
+
+(* --- ℘ group names ---
+
+   Int 1 and Float 1.0 are one Value.compare class; the group takes the
+   name of the class's first value in canonical row order. (1, "a") sorts
+   before (1.0, "b"), so the group is "1" in every evaluator. *)
+let test_partition_group_names () =
+  let open Value in
+  let r =
+    Relation.of_rows
+      (Schema.of_list [ "k"; "v" ])
+      (List.map Row.of_list
+         [
+           [ Float 1.0; String "b" ]; [ Int 1; String "a" ]; [ Int 2; String "c" ];
+         ])
+  in
+  let db = Database.of_list [ ("R", r) ] in
+  let op = Fira.Op.Partition { rel = "R"; col = "k" } in
+  let names_of_idb idb = List.map Intern.string_of_id (Idb.names idb) in
+  let check what names =
+    Alcotest.(check (list string)) what [ "1"; "2" ] (List.sort String.compare names)
+  in
+  let registry = Fira.Semfun.empty_registry in
+  check "boxed" (Database.relation_names (Fira.Eval.apply registry op db));
+  check "interned"
+    (names_of_idb
+       (fst
+          (Fira.Eval.apply_interned_delta ~semantics:`Full registry op
+             (Idb.of_database db))));
+  List.iter
+    (fun chunk_rows ->
+      let got, _ =
+        Migrate.run_idb
+          (Migrate.config ~chunk_rows ~jobs:1 ())
+          (Fira.Expr.of_ops [ op ]) (Idb.of_database db)
+      in
+      check (Printf.sprintf "chunked (chunk_rows %d)" chunk_rows)
+        (names_of_idb got))
+    [ 1; 64 ]
+
 let suite =
   [
     Alcotest.test_case "chunked = sequential (500 seeds)" `Slow
@@ -219,4 +325,7 @@ let suite =
     Alcotest.test_case "ingest errors" `Quick test_ingest_errors;
     Alcotest.test_case "emit round-trip" `Quick test_emit_roundtrip;
     Alcotest.test_case "cdb round-trip" `Quick test_cdb_roundtrip;
+    prop_one_applicability_check;
+    Alcotest.test_case "℘ group names (Int 1 / Float 1.0)" `Quick
+      test_partition_group_names;
   ]

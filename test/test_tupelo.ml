@@ -44,7 +44,7 @@ let candidates ?(registry = Fira.Semfun.empty_registry) ~source ~target () =
   let info = Tupelo.Moves.target_info target in
   Tupelo.Moves.candidates
     (Tupelo.Moves.default Tupelo.Goal.Superset)
-    registry info source
+    registry info (Idb.of_database source)
 
 let count_kind pred ops = List.length (List.filter pred ops)
 
@@ -73,7 +73,8 @@ let test_moves_synthetic_only_renames () =
       Tupelo.Moves.rename_value_check = false }
   in
   let all_ops =
-    Tupelo.Moves.candidates config Fira.Semfun.empty_registry info source
+    Tupelo.Moves.candidates config Fira.Semfun.empty_registry info
+      (Idb.of_database source)
   in
   Alcotest.(check int) "3x3 renames without the check" 9 (List.length all_ops)
 
@@ -124,7 +125,9 @@ let test_moves_demote_not_repeated () =
       (Fira.Op.demote "Flights")
       Workloads.Flights.a
   in
-  let ops = Tupelo.Moves.candidates config registry info demoted in
+  let ops =
+    Tupelo.Moves.candidates config registry info (Idb.of_database demoted)
+  in
   Alcotest.(check int) "no second demote" 0
     (count_kind (function Fira.Op.Demote _ -> true | _ -> false) ops);
   Alcotest.(check bool) "dereference now available" true
@@ -180,44 +183,71 @@ let test_successors_dedupe () =
     (List.length (List.sort_uniq String.compare keys))
 
 let test_paranoid_cross_check () =
-  (* With [paranoid_fingerprints], every successor generated during the
-     search is re-evaluated along the boxed path and compared on canonical
-     key and from-scratch fingerprint ([fingerprint.verify.mismatch] counts
-     disagreements). The discovered program must be identical with and
-     without the checks — paranoia may only slow the search down. *)
+  (* Explore Flights B→A greedily under h1 until the target is reached,
+     and re-evaluate every successor [Moves.successors] generates along
+     the boxed path: applying the operator with
+     [Fira.Eval.apply_syntactic_delta] to the parent's boxed database must
+     give the successor's canonical key, and a from-scratch fingerprint of
+     that result must equal the successor's incrementally maintained one. *)
   let registry = Workloads.Flights.registry in
-  let source = Workloads.Flights.b and target = Workloads.Flights.a in
-  let run paranoid telemetry =
-    let moves =
-      {
-        (Tupelo.Moves.default Tupelo.Goal.Superset) with
-        Tupelo.Moves.paranoid_fingerprints = paranoid;
-      }
-    in
-    D.discover ~registry
-      (D.config ~algorithm:D.Greedy ~heuristic:Heuristics.Heuristic.h1
-         ~budget:10_000 ~moves ~telemetry ())
-      ~source ~target
+  let target = Workloads.Flights.a in
+  let info = Tupelo.Moves.target_info target in
+  let config = Tupelo.Moves.default Tupelo.Goal.Superset in
+  let h s =
+    Heuristics.Heuristic.h1.estimate
+      ~target:(Heuristics.Profile.of_database target)
+      (Tupelo.State.profile s)
   in
   let agg = Telemetry.Agg.create () in
   let telemetry = Telemetry.create (Telemetry.Agg.sink agg) in
-  let count metric =
+  let visited = Hashtbl.create 256 in
+  let checked = ref 0 and reached = ref false in
+  (* Open list of (estimate, arrival order, state); the least pair first. *)
+  let open_ = ref [] and arrivals = ref 0 in
+  let push s =
+    if not (Hashtbl.mem visited (Tupelo.State.key s)) then begin
+      Hashtbl.add visited (Tupelo.State.key s) ();
+      incr arrivals;
+      open_ := List.merge compare [ (h s, !arrivals, s) ] !open_
+    end
+  in
+  push (Tupelo.State.of_database Workloads.Flights.b);
+  while (not !reached) && !open_ <> [] do
+    let parent =
+      match !open_ with
+      | (_, _, s) :: rest ->
+          open_ := rest;
+          s
+      | [] -> assert false
+    in
+    let db = Tupelo.State.database parent in
+    List.iter
+      (fun (op, s') ->
+        let db', _ = Fira.Eval.apply_syntactic_delta registry op db in
+        incr checked;
+        Alcotest.(check string)
+          ("canonical key: " ^ Fira.Op.to_string op)
+          (Database.canonical_key db') (Tupelo.State.key s');
+        Alcotest.(check bool)
+          ("fingerprint: " ^ Fira.Op.to_string op)
+          true
+          (Fingerprint.equal (Fingerprint.of_database db')
+             (Tupelo.State.fingerprint s'));
+        if Tupelo.Goal.reached Tupelo.Goal.Superset ~target db' then
+          reached := true;
+        push s')
+      (Tupelo.Moves.successors ~telemetry config registry info parent)
+  done;
+  Alcotest.(check bool) "the exploration reaches the target" true !reached;
+  Alcotest.(check bool) "successors checked" true (!checked > 20);
+  let collisions =
     List.fold_left
       (fun acc (_, m, v) ->
-        if String.equal m metric then acc + int_of_string v else acc)
-      0
-      (Telemetry.Agg.rows agg)
+        if String.equal m "fingerprint.collision" then acc + int_of_string v
+        else acc)
+      0 (Telemetry.Agg.rows agg)
   in
-  match (run true telemetry, run false Telemetry.disabled) with
-  | D.Mapping a, D.Mapping b ->
-      Alcotest.(check bool) "cross-checks ran" true
-        (count "fingerprint.verify" > 0);
-      Alcotest.(check int) "no mismatches" 0
-        (count "fingerprint.verify.mismatch");
-      Alcotest.(check int) "no collisions" 0 (count "fingerprint.collision");
-      Alcotest.(check bool) "identical program under paranoia" true
-        (a.Tupelo.Mapping.expr = b.Tupelo.Mapping.expr)
-  | _ -> Alcotest.fail "paranoid discovery failed"
+  Alcotest.(check int) "no collisions" 0 collisions
 
 let test_successors_collision_accounting () =
   (* Fingerprint-equal successors are only discarded after a canonical
@@ -291,7 +321,7 @@ let test_lambda_enumeration_without_signature () =
   let ops =
     Tupelo.Moves.candidates
       (Tupelo.Moves.default Tupelo.Goal.Superset)
-      registry info source
+      registry info (Idb.of_database source)
   in
   let applies =
     List.filter (function Fira.Op.Apply _ -> true | _ -> false) ops
