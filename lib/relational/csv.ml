@@ -19,40 +19,106 @@ let check_size ~max_bytes input =
 (* Incremental parser. The state machine survives arbitrary chunk
    boundaries — a quoted field (or even a CRLF pair) may be split across
    two [feed] calls — which is what lets the bulk-migration ingest read
-   multi-gigabyte relations through a fixed-size buffer. *)
+   multi-gigabyte relations through a fixed-size buffer.
+
+   A field that lies whole inside one fed chunk and needs no rewriting
+   (unquoted, no CR) is handed to [on_field] as a slice of that chunk;
+   any other field is assembled in [buf] first. Either way the slice is
+   only valid during the callback. *)
 module Stream = struct
   type t = {
-    on_row : string list -> unit;
+    on_field : string -> int -> int -> unit;
+    on_row_end : unit -> unit;
     max_bytes : int option;
-    buf : Buffer.t; (* current field *)
-    mutable fields : string list; (* current row, reversed *)
+    mutable buf : Bytes.t; (* assembled field *)
+    mutable blen : int;
+    mutable fstart : int;
+        (* In_field: the field's start in the current chunk, or -1 once
+           it is being assembled in [buf]; -1 in every other state *)
+    mutable row_open : bool; (* a field of the current row was emitted *)
     mutable state : state;
     mutable seen : int; (* cumulative bytes fed *)
     mutable finished : bool;
   }
 
-  let create ?max_bytes ~on_row () =
+  let create_fields ?max_bytes ~on_field ~on_row_end () =
     (match max_bytes with
     | Some limit when limit < 0 -> invalid_arg "Csv: max_bytes must be >= 0"
     | _ -> ());
     {
-      on_row;
+      on_field;
+      on_row_end;
       max_bytes;
-      buf = Buffer.create 64;
-      fields = [];
+      buf = Bytes.create 64;
+      blen = 0;
+      fstart = -1;
+      row_open = false;
       state = Field_start;
       seen = 0;
       finished = false;
     }
 
-  let flush_field t =
-    t.fields <- Buffer.contents t.buf :: t.fields;
-    Buffer.clear t.buf
+  let create ?max_bytes ~on_row () =
+    let fields = ref [] in
+    create_fields ?max_bytes
+      ~on_field:(fun s off len -> fields := String.sub s off len :: !fields)
+      ~on_row_end:(fun () ->
+        let row = List.rev !fields in
+        fields := [];
+        on_row row)
+      ()
 
-  let flush_row t =
-    flush_field t;
-    t.on_row (List.rev t.fields);
-    t.fields <- []
+  let add_sub t s off len =
+    if t.blen + len > Bytes.length t.buf then begin
+      let nbuf = Bytes.create (max (t.blen + len) (2 * Bytes.length t.buf)) in
+      Bytes.blit t.buf 0 nbuf 0 t.blen;
+      t.buf <- nbuf
+    end;
+    Bytes.blit_string s off t.buf t.blen len;
+    t.blen <- t.blen + len
+
+  let add_char t c =
+    if t.blen = Bytes.length t.buf then add_sub t (String.make 1 c) 0 1
+    else begin
+      Bytes.unsafe_set t.buf t.blen c;
+      t.blen <- t.blen + 1
+    end
+
+  (* Move the in-chunk part of the current field into [buf]. *)
+  let spill t input upto =
+    if t.fstart >= 0 then begin
+      add_sub t input t.fstart (upto - t.fstart);
+      t.fstart <- -1
+    end
+
+  let flush_field t input upto =
+    t.row_open <- true;
+    if t.fstart >= 0 then begin
+      let start = t.fstart in
+      t.fstart <- -1;
+      t.on_field input start (upto - start)
+    end
+    else begin
+      let len = t.blen in
+      t.blen <- 0;
+      t.on_field (Bytes.unsafe_to_string t.buf) 0 len
+    end
+
+  let end_row t input upto =
+    flush_field t input upto;
+    t.row_open <- false;
+    t.on_row_end ()
+
+  (* First byte at or after [i] that ends an unquoted run. *)
+  let rec plain_end s i stop =
+    if i < stop
+       && match String.unsafe_get s i with ',' | '\n' | '\r' -> false | _ -> true
+    then plain_end s (i + 1) stop
+    else i
+
+  let rec quote_end s i stop =
+    if i < stop && String.unsafe_get s i <> '"' then quote_end s (i + 1) stop
+    else i
 
   let feed ?(off = 0) ?len t input =
     if t.finished then invalid_arg "Csv.Stream: feed after finish";
@@ -66,43 +132,64 @@ module Stream = struct
     | Some limit when t.seen > limit ->
         error "csv: input of %d bytes exceeds the %d-byte limit" t.seen limit
     | _ -> ());
-    for i = off to off + len - 1 do
-      let c = String.unsafe_get input i in
-      match (t.state, c) with
-      | (Field_start | In_field), ',' ->
-          flush_field t;
-          t.state <- Field_start
-      | (Field_start | In_field), '\n' ->
-          flush_row t;
-          t.state <- Field_start
-      | (Field_start | In_field), '\r' -> () (* swallow CR of CRLF *)
-      | Field_start, '"' -> t.state <- In_quotes
-      | Field_start, c ->
-          Buffer.add_char t.buf c;
-          t.state <- In_field
-      | In_field, c -> Buffer.add_char t.buf c
-      | In_quotes, '"' -> t.state <- Quote_seen
-      | In_quotes, c -> Buffer.add_char t.buf c
-      | Quote_seen, '"' ->
-          Buffer.add_char t.buf '"';
-          t.state <- In_quotes
-      | Quote_seen, ',' ->
-          flush_field t;
-          t.state <- Field_start
-      | Quote_seen, '\n' ->
-          flush_row t;
-          t.state <- Field_start
-      | Quote_seen, '\r' -> ()
-      | Quote_seen, c -> error "csv: unexpected %C after closing quote" c
-    done
+    let stop = off + len in
+    let i = ref off in
+    while !i < stop do
+      let c = String.unsafe_get input !i in
+      match t.state with
+      | Field_start ->
+          (match c with
+          | ',' -> flush_field t input !i
+          | '\n' -> end_row t input !i
+          | '\r' -> () (* swallow CR of CRLF *)
+          | '"' -> t.state <- In_quotes
+          | _ ->
+              t.fstart <- !i;
+              t.state <- In_field);
+          incr i
+      | In_field ->
+          let j = plain_end input !i stop in
+          if t.fstart < 0 then add_sub t input !i (j - !i);
+          if j < stop then begin
+            match String.unsafe_get input j with
+            | ',' ->
+                flush_field t input j;
+                t.state <- Field_start
+            | '\n' ->
+                end_row t input j;
+                t.state <- Field_start
+            | _ -> spill t input j (* a CR is dropped *)
+          end;
+          i := j + 1
+      | In_quotes ->
+          let j = quote_end input !i stop in
+          add_sub t input !i (j - !i);
+          if j < stop then t.state <- Quote_seen;
+          i := j + 1
+      | Quote_seen ->
+          (match c with
+          | '"' ->
+              add_char t '"';
+              t.state <- In_quotes
+          | ',' ->
+              flush_field t input !i;
+              t.state <- Field_start
+          | '\n' ->
+              end_row t input !i;
+              t.state <- Field_start
+          | '\r' -> ()
+          | c -> error "csv: unexpected %C after closing quote" c);
+          incr i
+    done;
+    if t.state = In_field then spill t input stop
 
   let finish t =
     if not t.finished then begin
       t.finished <- true;
       match t.state with
       | In_quotes -> error "csv: unterminated quoted field"
-      | Field_start when t.fields = [] && Buffer.length t.buf = 0 -> ()
-      | _ -> flush_row t
+      | Field_start when not t.row_open -> ()
+      | _ -> end_row t "" 0
     end
 end
 
@@ -134,30 +221,59 @@ let parse ?max_bytes input =
   check_size ~max_bytes input;
   List.rev (fold_rows (fun rows row -> row :: rows) [] input)
 
+(* A relation document: the first row is the header, every later row is
+   cut or padded with empty cells to the header's width. A bad header is
+   reported only once the whole document has tokenized, so a syntax
+   error anywhere takes precedence, as it always has. *)
+let iter_relation ?max_bytes ~on_header ~on_cell ~on_row input =
+  check_size ~max_bytes input;
+  let header = ref [] and state = ref `Header and col = ref 0 in
+  let width = ref 0 in
+  let st =
+    Stream.create_fields
+      ~on_field:(fun s off len ->
+        match !state with
+        | `Header -> header := String.sub s off len :: !header
+        | `Rows ->
+            let i = !col in
+            if i < !width then on_cell i s off len;
+            col := i + 1
+        | `Bad _ -> ())
+      ~on_row_end:(fun () ->
+        match !state with
+        | `Header -> (
+            match Schema.of_list (List.rev !header) with
+            | schema ->
+                width := Schema.arity schema;
+                state := `Rows;
+                on_header schema
+            | exception Schema.Error m -> state := `Bad m)
+        | `Rows ->
+            for i = !col to !width - 1 do
+              on_cell i "" 0 0
+            done;
+            col := 0;
+            on_row ()
+        | `Bad _ -> ())
+      ()
+  in
+  Stream.feed st input;
+  Stream.finish st;
+  match !state with
+  | `Header -> error "csv: empty document"
+  | `Bad m -> error "csv: bad header (%s)" m
+  | `Rows -> ()
+
 let parse_relation ?max_bytes input =
-  match parse ?max_bytes input with
-  | [] -> error "csv: empty document"
-  | header :: data ->
-      let width = List.length header in
-      let pad cells =
-        let len = List.length cells in
-        if len >= width then cells
-        else cells @ List.init (width - len) (fun _ -> "")
-      in
-      let schema =
-        try Schema.of_list header
-        with Schema.Error m -> error "csv: bad header (%s)" m
-      in
-      Relation.of_rows schema
-        (List.map
-           (fun cells ->
-             let cells = pad cells in
-             let cells =
-               if List.length cells > width then List.filteri (fun i _ -> i < width) cells
-               else cells
-             in
-             Row.of_list (List.map Value.of_string_guess cells))
-           data)
+  let schema = ref Schema.empty and rows = ref [] and cells = ref [||] in
+  iter_relation ?max_bytes input
+    ~on_header:(fun s ->
+      schema := s;
+      cells := Array.make (Schema.arity s) Value.Null)
+    ~on_cell:(fun i s off len ->
+      !cells.(i) <- Value.of_string_guess (String.sub s off len))
+    ~on_row:(fun () -> rows := Row.of_array !cells :: !rows);
+  Relation.of_rows !schema (List.rev !rows)
 
 let needs_quoting s =
   String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s

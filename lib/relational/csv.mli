@@ -19,9 +19,23 @@ exception Error of string
 module Stream : sig
   type t
 
+  val create_fields :
+    ?max_bytes:int ->
+    on_field:(string -> int -> int -> unit) ->
+    on_row_end:(unit -> unit) ->
+    unit ->
+    t
+  (** The tokenizer itself. [on_field s off len] receives each field as
+      the slice [s.[off] .. s.[off + len - 1]], then [on_row_end ()] ends
+      its row. An unquoted field without CR that lies inside one fed
+      chunk is a slice of that chunk, not a copy; any other field is
+      assembled first. The slice is valid only during the call: copy
+      what must outlive it. [max_bytes] bounds the {e cumulative} bytes
+      fed; exceeding it raises {!Error}.
+      @raise Invalid_argument if [max_bytes < 0]. *)
+
   val create : ?max_bytes:int -> on_row:(string list -> unit) -> unit -> t
-  (** [max_bytes] bounds the {e cumulative} bytes fed; exceeding it
-      raises {!Error}. @raise Invalid_argument if [max_bytes < 0]. *)
+  (** {!create_fields} with each row's fields copied into a list. *)
 
   val feed : ?off:int -> ?len:int -> t -> string -> unit
   (** Consume [len] bytes of [input] starting at [off] (defaults: the
@@ -53,6 +67,22 @@ val parse : ?max_bytes:int -> string -> string list list
     supplied inline over the mapping server's wire protocol). @raise
     Error on unterminated quotes or an oversized input.
     @raise Invalid_argument if [max_bytes < 0]. *)
+
+val iter_relation :
+  ?max_bytes:int ->
+  on_header:(Schema.t -> unit) ->
+  on_cell:(int -> string -> int -> int -> unit) ->
+  on_row:(unit -> unit) ->
+  string ->
+  unit
+(** [iter_relation ~on_header ~on_cell ~on_row doc] reads [doc] as a
+    relation without building it: [on_header] gets the schema of the
+    first row, then for each later row [on_cell i s off len] gets the
+    cell of column [i] as a {!Stream.create_fields} slice, for every [i]
+    in order (cells past the header's width are dropped, missing ones
+    are empty slices), and [on_row ()] ends the row. Duplicate rows are
+    all reported. Errors are {!parse_relation}'s, raised in the same
+    order: a syntax error anywhere before a bad header. *)
 
 val parse_relation : ?max_bytes:int -> string -> Relation.t
 (** First row is the header; remaining rows are tuples, cells parsed with

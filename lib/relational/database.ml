@@ -8,8 +8,10 @@ let error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
 let empty = M.empty
 
+let check_name name = if name = "" then error "database: empty relation name"
+
 let add db name rel =
-  if name = "" then error "database: empty relation name";
+  check_name name;
   M.add name rel db
 
 let of_list entries =
@@ -49,7 +51,7 @@ let all_values db =
   |> List.sort_uniq Value.compare
 
 let rename_rel db ~old_name ~new_name =
-  if new_name = "" then error "database: empty relation name";
+  check_name new_name;
   if M.mem new_name db && old_name <> new_name then
     error "database: relation %S already present" new_name;
   let r = find db old_name in

@@ -16,6 +16,9 @@ val empty : t
 val of_list : (string * Relation.t) list -> t
 (** @raise Error on duplicate or empty relation names. *)
 
+val check_name : string -> unit
+(** @raise Error on the empty name, which no relation may have. *)
+
 val add : t -> string -> Relation.t -> t
 (** Replaces any existing relation of that name. @raise Error on empty
     names. *)

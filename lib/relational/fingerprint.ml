@@ -46,7 +46,7 @@ let lane_salt = 0x9e3779b97f4a7c15L
 let schema_salt = 0x2545f4914f6cdd1dL
 
 (* splitmix64 finalizer. *)
-let mix64 z =
+let[@inline] mix64 z =
   let z =
     Int64.mul
       (Int64.logxor z (Int64.shift_right_logical z 30))
@@ -64,21 +64,25 @@ let fnv_prime = 0x100000001b3L
 
 (* The FNV-1a state is folded byte-by-byte, so a hash over several
    components is just the fold continued from the previous component's
-   state — no intermediate strings are ever built on the hot path. *)
+   state — no intermediate strings are ever built on the hot path. The
+   folds are plain loops over an unboxed accumulator. *)
 let[@inline] fnv_byte h b = Int64.mul (Int64.logxor h (Int64.of_int b)) fnv_prime
 let[@inline] fnv_char h c = fnv_byte h (Char.code c)
 
-let fnv_string h s =
+let[@inline] fnv_sub h s off len =
   let h = ref h in
-  String.iter (fun c -> h := fnv_char !h c) s;
+  for i = off to off + len - 1 do
+    h := fnv_char !h (String.unsafe_get s i)
+  done;
   !h
 
-let fnv_int64 h i =
+let fnv_string h s = fnv_sub h s 0 (String.length s)
+
+(* The eight little-endian bytes of [Int64.of_int n]. *)
+let[@inline] fnv_int h n =
   let h = ref h in
   for k = 0 to 7 do
-    h :=
-      fnv_byte !h
-        (Int64.to_int (Int64.logand (Int64.shift_right_logical i (8 * k)) 0xffL))
+    h := fnv_byte !h ((n asr (8 * k)) land 0xff)
   done;
   !h
 
@@ -93,9 +97,21 @@ let value_fnv h v =
   match (v : Value.t) with
   | Null -> fnv_char h 'N'
   | Bool b -> fnv_char (fnv_char h 'B') (if b then '\x01' else '\x00')
-  | Int n -> fnv_int64 (fnv_char h 'I') (Int64.of_int n)
+  | Int n -> fnv_int (fnv_char h 'I') n
   | Float _ -> fnv_string (fnv_char h 'F') (Value.to_string v)
   | String s -> fnv_string (fnv_char h 'S') s
+
+(* [value_fnv h (Value.of_string_guess (String.sub s off len))], given
+   the slice's guess: the same tags and bytes, without the value. *)
+let[@inline] guess_fnv h (g : Value.guess) s off len =
+  match g with
+  | G_null -> fnv_char h 'N'
+  | G_bool b -> fnv_char (fnv_char h 'B') (if b then '\x01' else '\x00')
+  | G_int n -> fnv_int (fnv_char h 'I') n
+  | G_float f -> fnv_string (fnv_char h 'F') (Value.to_string (Float f))
+  | G_string -> fnv_sub (fnv_char h 'S') s off len
+
+let cell_fnv h s off len = guess_fnv h (Value.guess s off len) s off len
 
 (* Element hash: both lanes from one FNV pass. *)
 let[@inline] lanes h =
@@ -168,6 +184,112 @@ let of_relation ~rel r =
 
 let of_database db =
   Database.fold (fun name r acc -> combine acc (of_relation ~rel:name r)) db zero
+
+(* --- streamed relation terms, straight from CSV bytes --- *)
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+(* An open-addressing set of 128-bit row terms, kept unboxed: slot [i]
+   holds lane a at byte [16 i] and lane b at [16 i + 8]; [used] marks
+   the occupied slots. *)
+module Termset = struct
+  type t = {
+    mutable slots : Bytes.t;
+    mutable used : Bytes.t;
+    mutable count : int;
+  }
+
+  let create n =
+    { slots = Bytes.create (16 * n); used = Bytes.make n '\000'; count = 0 }
+
+  let rec insert t a b =
+    let n = Bytes.length t.used in
+    if 2 * (t.count + 1) > n then begin
+      let slots = t.slots and used = t.used in
+      t.slots <- Bytes.create (32 * n);
+      t.used <- Bytes.make (2 * n) '\000';
+      t.count <- 0;
+      for i = 0 to n - 1 do
+        if Bytes.unsafe_get used i <> '\000' then
+          ignore (insert t (get64 slots (16 * i)) (get64 slots ((16 * i) + 8)))
+      done;
+      insert t a b
+    end
+    else
+      let rec probe i =
+        if Bytes.unsafe_get t.used i = '\000' then begin
+          Bytes.unsafe_set t.used i '\001';
+          set64 t.slots (16 * i) a;
+          set64 t.slots ((16 * i) + 8) b;
+          t.count <- t.count + 1;
+          true
+        end
+        else if
+          Int64.equal (get64 t.slots (16 * i)) a
+          && Int64.equal (get64 t.slots ((16 * i) + 8)) b
+        then false
+        else probe ((i + 1) land (n - 1))
+      in
+      probe (Int64.to_int a land (n - 1))
+end
+
+type csv_term = { term : t; schema_term : t; built : Relation.t option }
+
+exception Float_cell
+
+(* Rows are a set: a row counts once however often it is listed. Two
+   cells [Value.compare] holds equal hash alike unless one is a [Float]
+   ([1] and [1.0], [0.0] and [-0.0], ints past 2^53), so deduplicating
+   by term is exact for every relation without a float cell; such a
+   relation is built and fingerprinted the boxed way instead. *)
+let of_csv ?max_bytes ~rel doc =
+  let ra, rb = rel_elem rel in
+  (* lanes of the current row's cell sum, then of the distinct rows' sum *)
+  let acc = Bytes.make 32 '\000' in
+  let prefixes = ref [||] and schema_term = ref zero in
+  let rows = Termset.create 32 in
+  match
+    Csv.iter_relation ?max_bytes doc
+      ~on_header:(fun schema ->
+        prefixes :=
+          Array.of_list
+            (List.map
+               (fun att -> fnv_char (fnv1a64 att) '\x1f')
+               (Schema.attributes schema));
+        schema_term := of_schema ~rel schema)
+      ~on_cell:(fun i s off len ->
+        match Value.guess s off len with
+        | G_float _ -> raise_notrace Float_cell
+        | g ->
+            let prefix = Array.unsafe_get !prefixes i in
+            let ea = mix64 (guess_fnv prefix g s off len) in
+            let eb = mix64 (Int64.logxor ea lane_salt) in
+            set64 acc 0 (Int64.add (get64 acc 0) ea);
+            set64 acc 8 (Int64.add (get64 acc 8) eb))
+      ~on_row:(fun () ->
+        let a = mix64 (Int64.add (get64 acc 0) ra) in
+        let b = mix64 (Int64.add (get64 acc 8) rb) in
+        set64 acc 0 0L;
+        set64 acc 8 0L;
+        if Termset.insert rows a b then begin
+          set64 acc 16 (Int64.add (get64 acc 16) a);
+          set64 acc 24 (Int64.add (get64 acc 24) b)
+        end)
+  with
+  | () ->
+      {
+        term = combine !schema_term { a = get64 acc 16; b = get64 acc 24 };
+        schema_term = !schema_term;
+        built = None;
+      }
+  | exception Float_cell ->
+      let r = Csv.parse_relation ?max_bytes doc in
+      {
+        term = of_relation ~rel r;
+        schema_term = of_schema ~rel (Relation.schema r);
+        built = Some r;
+      }
 
 let add_relation fp ~rel r = combine fp (of_relation ~rel r)
 let remove_relation fp ~rel r = remove fp (of_relation ~rel r)

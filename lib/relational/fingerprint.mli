@@ -74,6 +74,31 @@ val of_database : Database.t -> t
     have equal fingerprints iff they have equal {!Database.canonical_key}
     (modulo hash collisions). *)
 
+(** {1 Straight from CSV} *)
+
+type csv_term = {
+  term : t;  (** [of_relation ~rel (Csv.parse_relation doc)] *)
+  schema_term : t;  (** {!of_schema} of that relation *)
+  built : Relation.t option;
+      (** the relation, when it had to be built (see {!of_csv}) *)
+}
+
+val of_csv : ?max_bytes:int -> rel:string -> string -> csv_term
+(** The terms of relation [rel] given as a CSV document, bit-identical
+    to those of [Csv.parse_relation ?max_bytes doc], computed while
+    tokenizing: no relation, row or cell value is built, and a repeated
+    row counts once. A relation holding a [Float] cell is the exception:
+    [Value.compare] equates some floats whose terms differ ([1] and
+    [1.0], [0.0] and [-0.0]), so that relation is built with
+    [Csv.parse_relation] and fingerprinted with {!of_relation}, and
+    [built] holds it. @raise Csv.Error exactly as [Csv.parse_relation]. *)
+
+val cell_fnv : int64 -> string -> int -> int -> int64
+(** [cell_fnv h s off len] continues an FNV fold with the cell
+    [s.[off] .. s.[off + len - 1]] as a guessed value:
+    [Hashing.value_fnv h (Value.of_string_guess (String.sub s off len))],
+    without building the value. *)
+
 (** {1 Incremental updates} *)
 
 val add_relation : t -> rel:string -> Relation.t -> t

@@ -11,30 +11,84 @@ let int n = Int n
 let float f = Float f
 let string s = String s
 
-let is_int_literal s =
-  s <> ""
-  && (match s.[0] with '-' | '+' -> String.length s > 1 | _ -> true)
-  &&
-  let ok = ref true in
-  String.iteri
-    (fun i c ->
-      match c with
-      | '0' .. '9' -> ()
-      | ('-' | '+') when i = 0 -> ()
-      | _ -> ok := false)
-    s;
-  !ok
+type guess = G_null | G_bool of bool | G_int of int | G_float of float | G_string
+
+(* The helpers below are closed recursive functions over explicit
+   bounds, so classifying a cell allocates nothing but its result. *)
+
+(* Decimal digits in [i, stop), read as int_of_string reads them;
+   [G_string] when the literal is out of range. Accumulates negatively
+   so that min_int reads. *)
+let rec digits_value s i stop neg acc =
+  if i >= stop then
+    if neg then G_int acc else if acc = min_int then G_string else G_int (-acc)
+  else
+    let d = Char.code (String.unsafe_get s i) - Char.code '0' in
+    if acc < min_int / 10 || (acc = min_int / 10 && d > -(min_int mod 10))
+    then G_string
+    else digits_value s (i + 1) stop neg ((acc * 10) - d)
+
+let rec all_digits s i stop =
+  i >= stop
+  || match String.unsafe_get s i with
+     | '0' .. '9' -> all_digits s (i + 1) stop
+     | _ -> false
+
+let sign_skip s off =
+  match String.unsafe_get s off with '-' | '+' -> off + 1 | _ -> off
+
+let is_int_literal s off len =
+  let first = sign_skip s off in
+  first < off + len && all_digits s first (off + len)
+
+let rec has_float_mark s i stop =
+  i < stop
+  && match String.unsafe_get s i with
+     | '.' | 'e' | 'E' -> true
+     | _ -> has_float_mark s (i + 1) stop
+
+(* float_of_string drops every '_', lets strtod skip leading blanks and
+   a sign, and then needs a digit, a '.', or the start of "inf"/"nan".
+   A slice failing this test is certainly not a float literal, so the
+   common string cell is classified without copying it. *)
+let rec float_start s i stop =
+  i < stop
+  && match String.unsafe_get s i with
+     | '_' | ' ' | '\t' | '\n' | '\011' | '\012' | '\r' | '+' | '-' ->
+         float_start s (i + 1) stop
+     | '0' .. '9' | '.' | 'i' | 'I' | 'n' | 'N' -> true
+     | _ -> false
+
+let rec same_bytes s off lit i =
+  i >= String.length lit
+  || String.unsafe_get s (off + i) = String.unsafe_get lit i
+     && same_bytes s off lit (i + 1)
+
+let slice_is s off len lit = len = String.length lit && same_bytes s off lit 0
+
+let guess s off len =
+  if off < 0 || len < 0 || off + len > String.length s then
+    invalid_arg "Value.guess: bad substring";
+  if len = 0 || slice_is s off len "NULL" || slice_is s off len "null" then
+    G_null
+  else if slice_is s off len "true" then G_bool true
+  else if slice_is s off len "false" then G_bool false
+  else if is_int_literal s off len then
+    let neg = String.unsafe_get s off = '-' in
+    digits_value s (sign_skip s off) (off + len) neg 0
+  else if has_float_mark s off (off + len) && float_start s off (off + len) then
+    match float_of_string_opt (String.sub s off len) with
+    | Some f -> G_float f
+    | None -> G_string
+  else G_string
 
 let of_string_guess s =
-  match s with
-  | "" | "NULL" | "null" -> Null
-  | "true" -> Bool true
-  | "false" -> Bool false
-  | _ when is_int_literal s -> (
-      match int_of_string_opt s with Some n -> Int n | None -> String s)
-  | _ when String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s -> (
-      match float_of_string_opt s with Some f -> Float f | None -> String s)
-  | _ -> String s
+  match guess s 0 (String.length s) with
+  | G_null -> Null
+  | G_bool b -> Bool b
+  | G_int n -> Int n
+  | G_float f -> Float f
+  | G_string -> String s
 
 (* Rank for type stratification in the total order. *)
 let rank = function

@@ -22,9 +22,19 @@ val float : float -> t
 val string : string -> t
 
 val of_string_guess : string -> t
-(** [of_string_guess s] parses [s] with type inference: [""] and ["NULL"]
-    become {!Null}, decimal integers become {!Int}, floating literals become
-    {!Float}, ["true"]/["false"] become {!Bool}, everything else {!String}. *)
+(** [of_string_guess s] parses [s] with type inference: [""], ["NULL"] and
+    ["null"] become {!Null}, decimal integers in range become {!Int},
+    literals holding ['.'], ['e'] or ['E'] that [float_of_string] accepts
+    become {!Float}, ["true"]/["false"] become {!Bool}, everything else
+    {!String}. It is {!guess} over the whole string. *)
+
+type guess = G_null | G_bool of bool | G_int of int | G_float of float | G_string
+
+val guess : string -> int -> int -> guess
+(** [guess s off len] is {!of_string_guess}'s rule applied to the slice
+    [s.[off] .. s.[off + len - 1]], without copying it unless it may be a
+    float literal; [G_string] stands for [String] of the slice.
+    @raise Invalid_argument on a bad slice. *)
 
 (** {1 Comparison} *)
 

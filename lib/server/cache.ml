@@ -15,8 +15,10 @@ let schema_hash db =
       acc + Fingerprint.hash (Fingerprint.of_schema ~rel (Relation.schema r)))
     db 0
 
+let route ~source ~target = ((source * 31) + target) land max_int
+
 let route_of_pair ~source ~target =
-  ((schema_hash source * 31) + schema_hash target) land max_int
+  route ~source:(schema_hash source) ~target:(schema_hash target)
 
 (* Row-granular term multisets of the instance pair, for near-miss
    distance. Schema terms and row terms are the same ones [Fingerprint]

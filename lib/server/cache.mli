@@ -49,6 +49,11 @@ val route_of_pair : source:Database.t -> target:Database.t -> route
 (** Cheap relative to sketching: hashes one schema fingerprint per
     relation, touching no rows. *)
 
+val route : source:int -> target:int -> route
+(** {!route_of_pair} from each side's sum of
+    [Fingerprint.hash (Fingerprint.of_schema ~rel schema)] over its
+    relations, for a caller that has the schema terms but no database. *)
+
 type sketch
 (** Row-granular term multisets of an instance pair: the same schema and
     row terms {!Relational.Fingerprint.of_database} would sum, kept

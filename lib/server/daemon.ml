@@ -58,9 +58,9 @@ let config ?(host = "127.0.0.1") ?(port = 8080) ?(queue_capacity = 64)
     trace_sink;
   }
 
-(* Bodies up to this size are JSON-parsed and fingerprinted on the event
-   loop (so cache hits never queue behind a search); larger ones are
-   shipped whole to the worker pool, which does everything off-loop. *)
+(* Bodies up to this size are JSON-parsed and keyed on the event loop
+   (so cache hits never queue behind a search); larger ones are shipped
+   whole to the worker pool, which does everything off-loop. *)
 let loop_parse_max = 64 * 1024
 
 (* --- event names (the /stats contract; see stats_json) --- *)
@@ -82,11 +82,20 @@ module Ev = struct
   let span = "server.request"
 end
 
-(* --- a fully validated request, ready for a worker --- *)
+(* --- admission: a request validated and keyed, its databases not yet
+   built --- *)
 
-type prepared = {
-  p_source : Database.t;
-  p_target : Database.t;
+(* One inline relation: its CSV document and, when keying it had to
+   build it (a Float cell, see [Fingerprint.of_csv]), the relation. *)
+type inline_rel = {
+  rel_name : string;
+  rel_doc : string;
+  rel_built : Relation.t option;
+}
+
+type admitted = {
+  p_docs : inline_rel list * inline_rel list;
+      (** source, target; emptied once {!build} has used them *)
   p_registry : Fira.Semfun.registry;
   p_algorithm : Tupelo.Discover.algorithm;
   p_heuristic : Heuristics.Heuristic.t;
@@ -101,25 +110,41 @@ type prepared = {
           worker on the miss path, never on the event loop *)
 }
 
+(* A missed request with its databases: what a worker searches. *)
+type prepared = {
+  adm : admitted;
+  p_source : Database.t;
+  p_target : Database.t;
+}
+
 exception Prep of string
 
 let prep_error fmt = Format.kasprintf (fun m -> raise (Prep m)) fmt
 
-let prepare cfg (r : Protocol.discover_request) =
+(* Every check a request must pass, in the order clients see their
+   errors, then its cache key and route, all computed while tokenizing
+   the CSV: no relation is built here (see [build]). *)
+let admit cfg (r : Protocol.discover_request) =
   match
-    let load what rels =
+    let key what rels =
       List.fold_left
-        (fun db (name, csv) ->
-          let rel =
-            try Csv.parse_relation ~max_bytes:cfg.max_payload csv
+        (fun (fp, schemas, docs) (name, csv) ->
+          let c =
+            try Fingerprint.of_csv ~max_bytes:cfg.max_payload ~rel:name csv
             with Csv.Error m -> prep_error "%s relation %S: %s" what name m
           in
-          try Database.add db name rel
-          with Database.Error m -> prep_error "%s relation %S: %s" what name m)
-        Database.empty rels
+          (try Database.check_name name
+           with Database.Error m -> prep_error "%s relation %S: %s" what name m);
+          if List.exists (fun d -> d.rel_name = name) docs then
+            prep_error "%s relation %S: duplicate relation name" what name;
+          ( Fingerprint.combine fp c.Fingerprint.term,
+            schemas + Fingerprint.hash c.Fingerprint.schema_term,
+            { rel_name = name; rel_doc = csv; rel_built = c.Fingerprint.built }
+            :: docs ))
+        (Fingerprint.zero, 0, []) rels
     in
-    let p_source = load "source" r.Protocol.source in
-    let p_target = load "target" r.Protocol.target in
+    let s_key, s_route, s_docs = key "source" r.Protocol.source in
+    let t_key, t_route, t_docs = key "target" r.Protocol.target in
     let p_registry =
       try Fira.Semfun.of_list (Fira.Semfun.decode_annotations r.Protocol.semfuns)
       with Fira.Semfun.Error m -> prep_error "semfuns: %s" m
@@ -140,18 +165,13 @@ let prepare cfg (r : Protocol.discover_request) =
       | Some g -> g
       | None -> prep_error "unknown goal mode %S" r.Protocol.goal
     in
-    (match r.Protocol.partial with
-    | [] -> ()
-    | rels ->
-        List.iter
-          (fun rel ->
-            match Database.find_opt p_target rel with
-            | Some _ -> ()
-            | None -> prep_error "partial: no target relation %S" rel)
-          rels);
+    List.iter
+      (fun rel ->
+        if not (List.exists (fun d -> d.rel_name = rel) t_docs) then
+          prep_error "partial: no target relation %S" rel)
+      r.Protocol.partial;
     {
-      p_source;
-      p_target;
+      p_docs = (List.rev s_docs, List.rev t_docs);
       p_registry;
       p_algorithm;
       p_heuristic;
@@ -161,14 +181,34 @@ let prepare cfg (r : Protocol.discover_request) =
       p_jobs = (if r.Protocol.jobs = 0 then cfg.jobs else r.Protocol.jobs);
       p_timeout_ms =
         Option.value r.Protocol.timeout_ms ~default:cfg.timeout_ms;
-      p_key =
-        ( Fingerprint.of_database p_source,
-          Fingerprint.of_database p_target );
-      p_route = Cache.route_of_pair ~source:p_source ~target:p_target;
+      p_key = (s_key, t_key);
+      p_route = Cache.route ~source:s_route ~target:t_route;
     }
   with
-  | p -> Ok p
+  | a -> Ok a
   | exception Prep m -> Error m
+
+let admitted_key a = (a.p_key, a.p_route)
+
+(* The databases of an admitted request, built once on a miss by the
+   worker that serves it. The key and route are already known, so
+   nothing is fingerprinted again. *)
+let build (a : admitted) =
+  let db docs =
+    List.fold_left
+      (fun db d ->
+        Database.add db d.rel_name
+          (match d.rel_built with
+          | Some r -> r
+          | None -> Csv.parse_relation d.rel_doc))
+      Database.empty docs
+  in
+  let source, target = a.p_docs in
+  {
+    adm = { a with p_docs = ([], []) };
+    p_source = db source;
+    p_target = db target;
+  }
 
 (* --- work shipped from the event loop to the domain pool --- *)
 
@@ -180,23 +220,23 @@ type retained = {
 }
 
 type anytime_task =
-  | A_prep of prepared  (** parsed on the loop, cache already missed *)
-  | A_raw of string  (** oversized body: worker parses and prepares *)
+  | A_miss of admitted  (** admitted on the loop, cache already missed *)
+  | A_raw of string  (** oversized body: worker admits and probes *)
   | A_resume of retained  (** redeemed checkpoint: continue the search *)
 
 type work =
   | W_search of {
       w_cid : int;
       w_keep : bool;
-      w_prep : prepared;
+      w_adm : admitted;
       w_started : float;
-    }  (** exact cache miss: worker sketches, warm-probes, searches *)
+    }  (** exact cache miss: worker builds, sketches, warm-probes, searches *)
   | W_full of {
       f_cid : int;
       f_keep : bool;
       f_body : string;
       f_started : float;
-    }  (** oversized body: worker parses JSON, prepares and serves *)
+    }  (** oversized body: worker admits, probes and serves *)
   | W_anytime of {
       a_cid : int;
       a_keep : bool;
@@ -363,14 +403,15 @@ let finish_execution t (p : prepared) ~sketch ~cache_label ~timed_out started
             operators = Tupelo.Mapping.length m;
             algorithm = m.Tupelo.Mapping.algorithm;
             heuristic = m.Tupelo.Mapping.heuristic;
-            goal = p.p_goal;
+            goal = p.adm.p_goal;
             states_examined =
               m.Tupelo.Mapping.stats.Search.Space.examined;
           }
         in
         (* A partial-goal mapping reaches a sub-target: never cache it
            as the pair's mapping. *)
-        if p.p_partial = [] then Cache.add t.mapping_cache ~sketch p.p_key entry;
+        if p.adm.p_partial = [] then
+          Cache.add t.mapping_cache ~sketch p.adm.p_key entry;
         response_of_entry entry ~elapsed_ms ~cache:cache_label
     | Tupelo.Discover.No_mapping stats | Tupelo.Discover.Gave_up stats ->
         let outcome_name =
@@ -384,8 +425,8 @@ let finish_execution t (p : prepared) ~sketch ~cache_label ~timed_out started
           expr = None;
           operators = 0;
           res_algorithm =
-            Tupelo.Discover.algorithm_name p.p_algorithm;
-          res_heuristic = p.p_heuristic.Heuristics.Heuristic.name;
+            Tupelo.Discover.algorithm_name p.adm.p_algorithm;
+          res_heuristic = p.adm.p_heuristic.Heuristics.Heuristic.name;
           states_examined = stats.Search.Space.examined;
           elapsed_ms;
           cache = cache_label;
@@ -399,7 +440,7 @@ let finish_execution t (p : prepared) ~sketch ~cache_label ~timed_out started
 
 let search_setup t (p : prepared) =
   let deadline =
-    Unix.gettimeofday () +. (float_of_int p.p_timeout_ms /. 1000.)
+    Unix.gettimeofday () +. (float_of_int p.adm.p_timeout_ms /. 1000.)
   in
   let timed_out = ref false in
   let stop () =
@@ -415,9 +456,9 @@ let search_setup t (p : prepared) =
     if t.cfg.search_telemetry then t.tel else Telemetry.disabled
   in
   let dconfig =
-    Tupelo.Discover.config ~algorithm:p.p_algorithm ~heuristic:p.p_heuristic
-      ~goal:p.p_goal ~partial:p.p_partial ~budget:p.p_budget ~jobs:p.p_jobs
-      ~telemetry:search_tel ()
+    Tupelo.Discover.config ~algorithm:p.adm.p_algorithm
+      ~heuristic:p.adm.p_heuristic ~goal:p.adm.p_goal ~partial:p.adm.p_partial
+      ~budget:p.adm.p_budget ~jobs:p.adm.p_jobs ~telemetry:search_tel ()
   in
   (stop, timed_out, dconfig)
 
@@ -427,7 +468,7 @@ let execute t (p : prepared) ~warm ~sketch started =
   let cache_label = if warm = [] then "miss" else "warm" in
   let stop, timed_out, dconfig = search_setup t p in
   let outcome =
-    Tupelo.Discover.discover ~registry:p.p_registry ~stop ~warm_start:warm
+    Tupelo.Discover.discover ~registry:p.adm.p_registry ~stop ~warm_start:warm
       dconfig ~source:p.p_source ~target:p.p_target
   in
   finish_execution t p ~sketch ~cache_label ~timed_out:!timed_out started
@@ -449,7 +490,7 @@ let execute_anytime t (p : prepared) ~warm ~sketch ~resume ~on_incumbent
     on_incumbent inc
   in
   let result =
-    Tupelo.Discover.discover_anytime ~registry:p.p_registry ~stop
+    Tupelo.Discover.discover_anytime ~registry:p.adm.p_registry ~stop
       ~warm_start:warm ~on_incumbent:on_inc ?resume dconfig
       ~source:p.p_source ~target:p.p_target
   in
@@ -460,27 +501,27 @@ let execute_anytime t (p : prepared) ~warm ~sketch ~resume ~on_incumbent
   ({ resp with Protocol.incumbents = !streamed },
    result.Tupelo.Discover.a_frontier)
 
+(* The program of the closest near-miss cache entry, to seed a search
+   with. Entries whose saved expression fails to parse (impossible for
+   entries this server wrote, but the label is client-visible) fall back
+   to a cold search. *)
+let warm_start t (p : prepared) sketch =
+  let goal_matches e = e.Cache_entry.goal = p.adm.p_goal in
+  match
+    Cache.find_near t.mapping_cache ~valid:goal_matches ~max_dist:1.0 sketch
+  with
+  | None -> []
+  | Some (entry, _dist) -> (
+      match Fira.Parser.expr_of_string entry.Cache_entry.expr with
+      | Ok e -> Fira.Algebra.normalize (Fira.Expr.ops e)
+      | Error _ -> [])
+
 (* Exact miss: sketch the pair (off-loop — sorting every row term is the
    expensive part of near-miss matching), probe the owning shard for a
    warm seed, then search. *)
 let run_discover t (p : prepared) started =
-  let goal_matches e = e.Cache_entry.goal = p.p_goal in
   let sketch = Cache.sketch_of_pair ~source:p.p_source ~target:p.p_target in
-  let warm =
-    match
-      Cache.find_near t.mapping_cache ~valid:goal_matches ~max_dist:1.0
-        sketch
-    with
-    | None -> []
-    | Some (entry, _dist) -> (
-        (* Entries whose saved expression fails to parse (impossible for
-           entries this server wrote, but the label is client-visible)
-           fall back to a cold search. *)
-        match Fira.Parser.expr_of_string entry.Cache_entry.expr with
-        | Ok e -> Fira.Algebra.normalize (Fira.Expr.ops e)
-        | Error _ -> [])
-  in
-  execute t p ~warm ~sketch started
+  execute t p ~warm:(warm_start t p sketch) ~sketch started
 
 let error_response exn started =
   (* a worker must never die: report the failure as a response *)
@@ -501,36 +542,48 @@ let error_response exn started =
 let encode_discover resp =
   Http.response 200 (Json.to_string (Protocol.encode_response resp))
 
-(* The oversized-body path: everything the event loop would have done
-   (JSON parse, decode, prepare, cache probe), off-loop. *)
-let full_response t body started =
-  let parsed =
-    match Json.parse body with
-    | Error m -> Error m
-    | Ok json -> (
-        match Protocol.decode_request json with
-        | Error m -> Error m
-        | Ok dreq -> prepare t.cfg dreq)
-  in
-  match parsed with
+(* --- the one way a /discover body becomes an answer or a search --- *)
+
+type probe =
+  | Rejected of string  (** 400, already counted *)
+  | Hit of Cache_entry.t
+  | Miss of admitted
+
+(* JSON, decode, admit, then the one cache probe. The loop runs it on
+   small bodies and a worker on oversized ones; either way a request
+   counts exactly one [cache.hit] or [cache.miss], except a partial-goal
+   request, which the cache can neither answer nor learn from and which
+   therefore never probes. *)
+let probe t body =
+  match
+    Result.bind (Json.parse body) (fun json ->
+        Result.bind (Protocol.decode_request json) (admit t.cfg))
+  with
   | Error m ->
       Telemetry.count t.tel Ev.reject_bad 1;
-      Http.response 400 (Protocol.error_body m)
-  | Ok prep -> (
-      let goal_matches e = e.Cache_entry.goal = prep.p_goal in
+      Rejected m
+  | Ok a when a.p_partial <> [] -> Miss a
+  | Ok a -> (
+      let goal_matches e = e.Cache_entry.goal = a.p_goal in
       match
-        (* the cache holds full-target mappings only; a partial-goal
-           request can neither hit nor populate it *)
-        if prep.p_partial <> [] then None
-        else
-          Cache.find t.mapping_cache ~valid:goal_matches ~route:prep.p_route
-            prep.p_key
+        Cache.find t.mapping_cache ~valid:goal_matches ~route:a.p_route
+          a.p_key
       with
-      | Some entry ->
-          let elapsed_ms = (Unix.gettimeofday () -. started) *. 1000. in
-          Telemetry.count t.tel (Ev.resp "mapping") 1;
-          encode_discover (response_of_entry entry ~elapsed_ms ~cache:"hit")
-      | None -> encode_discover (run_discover t prep started))
+      | Some entry -> Hit entry
+      | None -> Miss a)
+
+let hit_response t entry started =
+  let elapsed_ms = (Unix.gettimeofday () -. started) *. 1000. in
+  Telemetry.count t.tel (Ev.resp "mapping") 1;
+  response_of_entry entry ~elapsed_ms ~cache:"hit"
+
+(* The oversized-body path: everything the event loop would have done,
+   off-loop. *)
+let full_response t body started =
+  match probe t body with
+  | Rejected m -> Http.response 400 (Protocol.error_body m)
+  | Hit entry -> encode_discover (hit_response t entry started)
+  | Miss a -> encode_discover (run_discover t (build a) started)
 
 let post_completion t comp =
   Mutex.lock t.comp_mu;
@@ -571,81 +624,33 @@ let frame_line json = Json.to_string json ^ "\n"
 let run_anytime t ~cid ~keep ~token ~started task =
   let emit payload = post_completion t { c_cid = cid; c_keep = keep; c_payload = payload } in
   let on_incumbent inc = emit (P_chunk (frame_line (frame_of_incumbent inc))) in
+  let finish ?retain json =
+    emit (P_done { d_body = frame_line json; d_retain = retain })
+  in
   let serve p ~resume =
     let sketch =
       Cache.sketch_of_pair ~source:p.p_source ~target:p.p_target
     in
-    let warm =
-      if resume <> None then []
-      else
-        let goal_matches e = e.Cache_entry.goal = p.p_goal in
-        match
-          Cache.find_near t.mapping_cache ~valid:goal_matches ~max_dist:1.0
-            sketch
-        with
-        | None -> []
-        | Some (entry, _dist) -> (
-            match Fira.Parser.expr_of_string entry.Cache_entry.expr with
-            | Ok e -> Fira.Algebra.normalize (Fira.Expr.ops e)
-            | Error _ -> [])
-    in
+    let warm = if resume <> None then [] else warm_start t p sketch in
     let resp, frontier =
       execute_anytime t p ~warm ~sketch ~resume ~on_incumbent started
     in
-    let d_retain =
-      Option.map
-        (fun fr -> (token, { r_prep = p; r_frontier = fr }))
-        frontier
-    in
-    let resp =
-      if d_retain = None then resp
-      else { resp with Protocol.resume_token = Some token }
-    in
-    emit
-      (P_done { d_body = frame_line (Protocol.encode_final resp); d_retain })
+    match frontier with
+    | None -> finish (Protocol.encode_final resp)
+    | Some fr ->
+        finish ~retain:(token, { r_prep = p; r_frontier = fr })
+          (Protocol.encode_final
+             { resp with Protocol.resume_token = Some token })
   in
   match task with
-  | A_prep p -> serve p ~resume:None
+  | A_miss a -> serve (build a) ~resume:None
   | A_resume r -> serve r.r_prep ~resume:(Some r.r_frontier)
   | A_raw body -> (
-      let parsed =
-        match Json.parse body with
-        | Error m -> Error m
-        | Ok json -> (
-            match Protocol.decode_request json with
-            | Error m -> Error m
-            | Ok dreq -> prepare t.cfg dreq)
-      in
-      match parsed with
-      | Error m ->
-          Telemetry.count t.tel Ev.reject_bad 1;
-          emit
-            (P_done
-               {
-                 d_body = frame_line (Protocol.encode_error_frame m);
-                 d_retain = None;
-               })
-      | Ok p -> (
-          let goal_matches e = e.Cache_entry.goal = p.p_goal in
-          match
-            (* a partial-goal request never matches the pair's cached
-               full-target mapping *)
-            if p.p_partial <> [] then None
-            else
-              Cache.find t.mapping_cache ~valid:goal_matches ~route:p.p_route
-                p.p_key
-          with
-          | Some entry ->
-              let elapsed_ms = (Unix.gettimeofday () -. started) *. 1000. in
-              Telemetry.count t.tel (Ev.resp "mapping") 1;
-              let resp = response_of_entry entry ~elapsed_ms ~cache:"hit" in
-              emit
-                (P_done
-                   {
-                     d_body = frame_line (Protocol.encode_final resp);
-                     d_retain = None;
-                   })
-          | None -> serve p ~resume:None))
+      match probe t body with
+      | Rejected m -> finish (Protocol.encode_error_frame m)
+      | Hit entry ->
+          finish (Protocol.encode_final (hit_response t entry started))
+      | Miss a -> serve (build a) ~resume:None)
 
 let worker_loop t =
   let rec go () =
@@ -655,7 +660,7 @@ let worker_loop t =
         (match work with
         | W_search w ->
             let resp =
-              try encode_discover (run_discover t w.w_prep w.w_started)
+              try encode_discover (run_discover t (build w.w_adm) w.w_started)
               with exn -> encode_discover (error_response exn w.w_started)
             in
             post_completion t
@@ -822,91 +827,41 @@ let handle_on_loop t c (req : Http.request) =
                    (Protocol.error_body "unknown or expired resume token"))
           | Some retained ->
               dispatch_anytime t c ~keep ~started (A_resume retained))
-      | None when truthy (List.assoc_opt "anytime" params) -> (
-          if String.length req.Http.body > loop_parse_max then
-            dispatch_anytime t c ~keep ~started (A_raw req.Http.body)
-          else
-            let parsed =
-              match Json.parse req.Http.body with
-              | Error m -> Error m
-              | Ok json -> (
-                  match Protocol.decode_request json with
-                  | Error m -> Error m
-                  | Ok dreq -> prepare t.cfg dreq)
-            in
-            match parsed with
-            | Error m ->
-                Telemetry.count t.tel Ev.reject_bad 1;
-                enqueue_response c ~keep
-                  (Http.response 400 (Protocol.error_body m))
-            | Ok prep -> (
-                let goal_matches e = e.Cache_entry.goal = prep.p_goal in
-                match
-                  if prep.p_partial <> [] then None
-                  else
-                    Cache.find t.mapping_cache ~valid:goal_matches
-                      ~route:prep.p_route prep.p_key
-                with
-                | Some entry ->
-                    (* a cache hit needs no stream: answer it as a plain
-                       content-length response (clients accept both) *)
-                    let elapsed_ms =
-                      (Unix.gettimeofday () -. started) *. 1000.
-                    in
-                    Telemetry.count t.tel (Ev.resp "mapping") 1;
-                    enqueue_response c ~keep
-                      (encode_discover
-                         (response_of_entry entry ~elapsed_ms ~cache:"hit"))
-                | None -> dispatch_anytime t c ~keep ~started (A_prep prep)))
       | None -> (
-          if String.length req.Http.body > loop_parse_max then
-            dispatch t c ~keep
-              (W_full
-                 {
-                   f_cid = c.cid;
-                   f_keep = keep;
-                   f_body = req.Http.body;
-                   f_started = started;
-                 })
+          let anytime = truthy (List.assoc_opt "anytime" params) in
+          let body = req.Http.body in
+          if String.length body > loop_parse_max then
+            if anytime then dispatch_anytime t c ~keep ~started (A_raw body)
+            else
+              dispatch t c ~keep
+                (W_full
+                   {
+                     f_cid = c.cid;
+                     f_keep = keep;
+                     f_body = body;
+                     f_started = started;
+                   })
           else
-            let parsed =
-              match Json.parse req.Http.body with
-              | Error m -> Error m
-              | Ok json -> (
-                  match Protocol.decode_request json with
-                  | Error m -> Error m
-                  | Ok dreq -> prepare t.cfg dreq)
-            in
-            match parsed with
-            | Error m ->
-                Telemetry.count t.tel Ev.reject_bad 1;
+            match probe t body with
+            | Rejected m ->
                 enqueue_response c ~keep
                   (Http.response 400 (Protocol.error_body m))
-            | Ok prep -> (
-                let goal_matches e = e.Cache_entry.goal = prep.p_goal in
-                match
-                  if prep.p_partial <> [] then None
-                  else
-                    Cache.find t.mapping_cache ~valid:goal_matches
-                      ~route:prep.p_route prep.p_key
-                with
-                | Some entry ->
-                    let elapsed_ms =
-                      (Unix.gettimeofday () -. started) *. 1000.
-                    in
-                    Telemetry.count t.tel (Ev.resp "mapping") 1;
-                    enqueue_response c ~keep
-                      (encode_discover
-                         (response_of_entry entry ~elapsed_ms ~cache:"hit"))
-                | None ->
-                    dispatch t c ~keep
-                      (W_search
-                         {
-                           w_cid = c.cid;
-                           w_keep = keep;
-                           w_prep = prep;
-                           w_started = started;
-                         }))))
+            | Hit entry ->
+                (* a hit needs no stream, even on the anytime route: it is
+                   a plain content-length response (clients accept both) *)
+                enqueue_response c ~keep
+                  (encode_discover (hit_response t entry started))
+            | Miss a ->
+                if anytime then dispatch_anytime t c ~keep ~started (A_miss a)
+                else
+                  dispatch t c ~keep
+                    (W_search
+                       {
+                         w_cid = c.cid;
+                         w_keep = keep;
+                         w_adm = a;
+                         w_started = started;
+                       })))
   | _, _ ->
       Telemetry.count t.tel Ev.req_unknown 1;
       enqueue_response c ~keep
@@ -1284,11 +1239,19 @@ let request_stop t =
     with Unix.Unix_error _ -> ()
   end
 
+(* The wait wakes at least every [signal_poll_s]. A process-directed
+   signal may be delivered to any thread; one that lands on a worker
+   interrupts no select, and OCaml runs its handler only when some
+   thread of this domain next polls. Returning from the select is such a
+   poll, so a SIGTERM is handled within this bound wherever it landed. *)
+let signal_poll_s = 0.2
+
 let await_stop_request t =
   let rec wait () =
     if not (Atomic.get t.shutdown) then
-      match Unix.select [ t.notify_r ] [] [] (-1.) with
+      match Unix.select [ t.notify_r ] [] [] signal_poll_s with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+      | [], _, _ -> wait ()
       | _ -> ()
   in
   wait ()

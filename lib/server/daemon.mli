@@ -11,14 +11,15 @@
       [/healthz], [/stats] and every 4xx are answered directly on the
       loop — they are never queued behind a search.
     - [POST /discover] — body {!Protocol.discover_request}: relations
-      inline as CSV. The loop parses and fingerprints the instances
-      and consults the sharded {!Cache}; a hit answers immediately. A
-      miss is submitted to the bounded {!Admission} queue — full queue
-      means an immediate 429 — and executed by a pool of [workers]
-      OCaml domains ({!Tupelo.Discover} with the configured [jobs]
-      search domains, warm-started from near-miss cache entries) under
-      a per-request deadline enforced through the cooperative
-      [stop]/[Cancelled] path. Bodies over 64 KiB are shipped to the
+      inline as CSV. The loop validates the request and computes its
+      cache key while tokenizing the CSV, building no relation, and
+      consults the sharded {!Cache}; a hit answers immediately. A miss
+      is submitted to the bounded {!Admission} queue — full queue means
+      an immediate 429 — and executed, its databases built only then,
+      by a pool of [workers] OCaml domains ({!Tupelo.Discover} with the
+      configured [jobs] search domains, warm-started from near-miss
+      cache entries) under a per-request deadline enforced through the
+      cooperative [stop]/[Cancelled] path. Bodies over 64 KiB are shipped to the
       pool whole, so the loop never JSON-parses a large payload.
     - [POST /discover?anytime=1] — same body, streamed response: a
       chunked sequence of newline-delimited frames (see
@@ -43,7 +44,7 @@
     unknown route → 404.
 
     Shutdown ({!stop}, or SIGTERM/SIGINT under {!run}) is graceful and
-    signalled, never polled: stop accepting, stop reading, let every
+    signalled through a self-pipe: stop accepting, stop reading, let every
     request already read or queued finish and flush, close every
     connection, join the pool, flush telemetry. *)
 
@@ -101,6 +102,30 @@ val config :
     sink.
     @raise Invalid_argument on non-positive capacities/workers/limits. *)
 
+(** {1 Admission} *)
+
+type admitted
+(** A [/discover] request that passed every check, with its cache key
+    and shard route; its databases are not built yet. *)
+
+val admit : config -> Protocol.discover_request -> (admitted, string) result
+(** Validate a decoded request — each relation's CSV (as
+    [Relational.Csv.parse_relation ~max_bytes:max_payload] would), its
+    relation names (non-empty, none listed twice on one side), semfuns,
+    algorithm, heuristic, goal mode and partial relations, in that
+    order — and compute its key while tokenizing the CSV
+    ({!Relational.Fingerprint.of_csv}). [Error] carries the 400 message;
+    a CSV error reads ["source relation \"R\": "] followed by
+    [parse_relation]'s message. The server runs this on the event loop,
+    and builds the databases only after a cache miss. *)
+
+val admitted_key : admitted -> Cache.key * Cache.route
+(** Equal to [(Fingerprint.of_database source, Fingerprint.of_database
+    target)] and [Cache.route_of_pair ~source ~target] of the databases
+    the request describes. *)
+
+(** {1 Lifecycle} *)
+
 type t
 
 val start : config -> t
@@ -124,9 +149,10 @@ val request_stop : t -> unit
     signal handler; idempotent. *)
 
 val await_stop_request : t -> unit
-(** Block until {!request_stop} has been called (self-pipe, no
-    polling). Returns immediately if it already has. Must not be called
-    after {!stop} has returned. *)
+(** Block until {!request_stop} has been called (self-pipe). Returns
+    immediately if it already has. The wait wakes every 200 ms so that
+    a signal the kernel delivered to another thread still gets its
+    OCaml handler run. Must not be called after {!stop} has returned. *)
 
 val stop : t -> unit
 (** Graceful shutdown as described above; idempotent, returns when the

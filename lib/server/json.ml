@@ -102,51 +102,73 @@ let parse input =
         c
     | None -> fail "bad \\u escape %S" s
   in
+  (* First byte at or after [i] that a string cannot copy verbatim. *)
+  let rec plain_end i =
+    if i < n
+       &&
+       let c = String.unsafe_get input i in
+       c <> '"' && c <> '\\' && Char.code c >= 0x20
+    then plain_end (i + 1)
+    else i
+  in
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> incr pos
-      | Some '\\' -> (
-          incr pos;
-          match peek () with
-          | Some (('"' | '\\' | '/') as c) ->
-              Buffer.add_char buf c;
-              incr pos;
-              go ()
-          | Some 'n' -> Buffer.add_char buf '\n'; incr pos; go ()
-          | Some 'r' -> Buffer.add_char buf '\r'; incr pos; go ()
-          | Some 't' -> Buffer.add_char buf '\t'; incr pos; go ()
-          | Some 'b' -> Buffer.add_char buf '\b'; incr pos; go ()
-          | Some 'f' -> Buffer.add_char buf '\012'; incr pos; go ()
-          | Some 'u' ->
-              incr pos;
-              let c = parse_hex4 () in
-              (* The writer only \u-escapes control characters; decode
-                 the BMP generally as UTF-8 so foreign producers work. *)
-              if c < 0x80 then Buffer.add_char buf (Char.chr c)
-              else if c < 0x800 then begin
-                Buffer.add_char buf (Char.chr (0xc0 lor (c lsr 6)));
-                Buffer.add_char buf (Char.chr (0x80 lor (c land 0x3f)))
-              end
-              else begin
-                Buffer.add_char buf (Char.chr (0xe0 lor (c lsr 12)));
-                Buffer.add_char buf
-                  (Char.chr (0x80 lor ((c lsr 6) land 0x3f)));
-                Buffer.add_char buf (Char.chr (0x80 lor (c land 0x3f)))
-              end;
-              go ()
-          | _ -> fail "bad escape")
-      | Some c when Char.code c < 0x20 -> fail "raw control character"
-      | Some c ->
-          Buffer.add_char buf c;
-          incr pos;
-          go ()
-    in
-    go ();
-    Buffer.contents buf
+    let start = !pos in
+    pos := plain_end start;
+    if !pos < n && input.[!pos] = '"' then begin
+      (* no escapes: the common case is one copy *)
+      incr pos;
+      String.sub input start (!pos - 1 - start)
+    end
+    else begin
+      let buf = Buffer.create (2 * (!pos - start) + 16) in
+      Buffer.add_substring buf input start (!pos - start);
+      let rec go () =
+        if !pos >= n then fail "unterminated string";
+        match input.[!pos] with
+        | '"' -> incr pos
+        | '\\' -> (
+            incr pos;
+            match peek () with
+            | Some (('"' | '\\' | '/') as c) ->
+                Buffer.add_char buf c;
+                incr pos;
+                run ()
+            | Some 'n' -> Buffer.add_char buf '\n'; incr pos; run ()
+            | Some 'r' -> Buffer.add_char buf '\r'; incr pos; run ()
+            | Some 't' -> Buffer.add_char buf '\t'; incr pos; run ()
+            | Some 'b' -> Buffer.add_char buf '\b'; incr pos; run ()
+            | Some 'f' -> Buffer.add_char buf '\012'; incr pos; run ()
+            | Some 'u' ->
+                incr pos;
+                let c = parse_hex4 () in
+                (* The writer only \u-escapes control characters; decode
+                   the BMP generally as UTF-8 so foreign producers work. *)
+                if c < 0x80 then Buffer.add_char buf (Char.chr c)
+                else if c < 0x800 then begin
+                  Buffer.add_char buf (Char.chr (0xc0 lor (c lsr 6)));
+                  Buffer.add_char buf (Char.chr (0x80 lor (c land 0x3f)))
+                end
+                else begin
+                  Buffer.add_char buf (Char.chr (0xe0 lor (c lsr 12)));
+                  Buffer.add_char buf
+                    (Char.chr (0x80 lor ((c lsr 6) land 0x3f)));
+                  Buffer.add_char buf (Char.chr (0x80 lor (c land 0x3f)))
+                end;
+                run ()
+            | _ -> fail "bad escape")
+        | _ -> fail "raw control character"
+      (* copy the run of plain bytes up to the next quote, backslash or
+         control byte in one go *)
+      and run () =
+        let i = !pos in
+        pos := plain_end i;
+        Buffer.add_substring buf input i (!pos - i);
+        go ()
+      in
+      go ();
+      Buffer.contents buf
+    end
   in
   let parse_number () =
     let start = !pos in

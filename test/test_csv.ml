@@ -170,6 +170,112 @@ let prop_print_parse_roundtrip =
                 got = want)
               oneshot rows))
 
+let test_fields_are_slices () =
+  (* Plain fields reach the callback as slices of the fed string; a
+     quoted field or one with a CR in it is assembled first. *)
+  let doc = "ab,\"c,d\",e\rf,gh\n" in
+  let seen = ref [] in
+  let stream =
+    Csv.Stream.create_fields
+      ~on_field:(fun s off len -> seen := (s == doc, String.sub s off len) :: !seen)
+      ~on_row_end:(fun () -> seen := (true, "<eol>") :: !seen)
+      ()
+  in
+  Csv.Stream.feed stream doc;
+  Csv.Stream.finish stream;
+  Alcotest.(check (list (pair bool string)))
+    "slices of the input where possible"
+    [ (true, "ab"); (false, "c,d"); (false, "ef"); (true, "gh"); (true, "<eol>") ]
+    (List.rev !seen)
+
+(* --- relation documents, for the streamed fingerprint oracle --- *)
+
+let quote s =
+  "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
+
+(* A cell: the guessing rule's edges (numbers equal under
+   [Value.compare] but printed differently, over-range ints, null and
+   bool spellings), quoted text with commas, quotes and newlines, a CR
+   inside a field, and now and then a syntax error. [floats] admits the
+   cells that make a relation take the boxed fallback. *)
+let cell_gen ~floats =
+  let open QCheck2.Gen in
+  let scalar =
+    oneofl
+      ([ "1"; "01"; "+1"; "-1"; "99999999999999999999"; "4611686018427387904";
+         "true"; "false"; "NULL"; "null"; ""; "alice"; "e"; "."; "nan" ]
+      @ if floats then [ "1.0"; "0.0"; "-0.0"; "1e3"; "9007199254740993.0" ] else [])
+  in
+  frequency
+    [
+      (8, scalar);
+      ( 2,
+        map quote
+          (string_size ~gen:(oneofl [ 'a'; ','; '"'; '\n'; '\r'; '1' ]) (int_range 0 4)) );
+      (1, map2 (fun a b -> a ^ "\r" ^ b) (oneofl [ "a"; "1"; "" ]) (oneofl [ "b"; "2"; "" ]));
+      (1, oneofl [ "\"a\"b"; "\"open" ]);
+    ]
+
+let relation_doc_gen =
+  let open QCheck2.Gen in
+  let* floats = bool in
+  let* width = int_range 1 3 in
+  let* header =
+    frequency
+      [
+        (12, return (List.init width (Printf.sprintf "c%d")));
+        (1, return [ "c0"; "c0" ]);
+        (1, return [ "c0"; "" ]);
+        (1, return []);
+      ]
+  in
+  let row =
+    frequency
+      [ (6, list_size (int_range 1 (width + 2)) (cell_gen ~floats)); (1, return [ "" ]) ]
+  in
+  let* rows = list_size (int_range 0 6) row in
+  let* eol = oneofl [ "\n"; "\r\n" ] in
+  let* trailing = bool in
+  let lines =
+    (if header = [] then [] else [ String.concat "," header ])
+    @ List.map (String.concat ",") rows
+  in
+  return (String.concat eol lines ^ if trailing && lines <> [] then eol else "")
+
+let terms_of_parse ~rel doc =
+  match Csv.parse_relation doc with
+  | r -> Ok (Fingerprint.of_relation ~rel r, Fingerprint.of_schema ~rel (Relation.schema r))
+  | exception Csv.Error m -> Error m
+
+let prop_of_csv_matches_boxed =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000
+       ~name:"fingerprint: of_csv = of_relation (parse_relation), errors too"
+       ~print:(Printf.sprintf "%S") relation_doc_gen
+       (fun doc ->
+         let streamed =
+           match Fingerprint.of_csv ~rel:"R" doc with
+           | c -> Ok (c.Fingerprint.term, c.Fingerprint.schema_term)
+           | exception Csv.Error m -> Error m
+         in
+         match (streamed, terms_of_parse ~rel:"R" doc) with
+         | Ok (a, sa), Ok (b, sb) -> Fingerprint.equal a b && Fingerprint.equal sa sb
+         | Error m, Error m' -> m = m'
+         | _ -> false))
+
+let prop_cell_fnv =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000
+       ~name:"fingerprint: cell_fnv = value_fnv of the guessed value"
+       QCheck2.Gen.(triple (cell_gen ~floats:true) (string_size (int_range 0 2))
+                      (string_size (int_range 0 2)))
+       (fun (cell, pre, post) ->
+         let s = pre ^ cell ^ post in
+         let h = Fingerprint.Hashing.fnv1a64 "att" in
+         Int64.equal
+           (Fingerprint.cell_fnv h s (String.length pre) (String.length cell))
+           (Fingerprint.Hashing.value_fnv h (Value.of_string_guess cell))))
+
 let suite =
   [
     Alcotest.test_case "parse simple" `Quick test_parse_simple;
@@ -190,4 +296,7 @@ let suite =
       test_fold_channel_chunk_boundary;
     Alcotest.test_case "stream max_bytes" `Quick test_stream_max_bytes;
     prop_print_parse_roundtrip;
+    Alcotest.test_case "plain fields are slices" `Quick test_fields_are_slices;
+    prop_of_csv_matches_boxed;
+    prop_cell_fnv;
   ]

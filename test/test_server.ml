@@ -160,6 +160,39 @@ let test_json_rejects_garbage () =
       | Error _ -> ())
     [ ""; "{"; "[1,]"; "{\"a\":}"; "nul"; "1 2"; "\"\\x\""; "{\"a\" 1}" ]
 
+(* Strings built to cross the parser's run copying at every kind of
+   boundary: control bytes (written back as \u escapes), quotes,
+   backslashes and slashes, and multi-byte UTF-8, between plain runs. *)
+let tricky_string_gen =
+  let open QCheck2.Gen in
+  let piece =
+    frequency
+      [
+        (3, string_size ~gen:(char_range 'a' 'z') (int_range 1 6));
+        (2, map (String.make 1) (oneofl [ '"'; '\\'; '/' ]));
+        (2, map (fun c -> String.make 1 (Char.chr c)) (int_range 0 0x1f));
+        (1, oneofl [ "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9f\x90\xab"; "\xff" ]);
+      ]
+  in
+  map (String.concat "") (list_size (int_range 0 12) piece)
+
+let json_string_round_trip =
+  qcheck ~count:1000 "json: strings with escapes and UTF-8 round-trip"
+    QCheck2.Gen.(pair tricky_string_gen tricky_string_gen)
+    (fun (k, v) ->
+      let j = Json.Obj [ (k, Json.Arr [ Json.Str v; Json.Str (k ^ v) ]) ] in
+      match Json.parse (Json.to_string j) with
+      | Ok j' -> Json.equal j j'
+      | Error m -> QCheck2.Test.fail_reportf "parse error: %s" m)
+
+let test_json_unicode_escapes () =
+  (* \u escapes from a foreign writer decode to UTF-8, mid-run too *)
+  match Json.parse {|"a\u00e9b\u20acc\u0041\/"|} with
+  | Ok (Json.Str s) ->
+      Alcotest.(check string) "decoded" "a\xc3\xa9b\xe2\x82\xacc" (String.sub s 0 8);
+      Alcotest.(check string) "tail" "A/" (String.sub s 8 2)
+  | _ -> Alcotest.fail "escaped string did not parse"
+
 (* --- protocol codec --- *)
 
 let request_gen =
@@ -252,6 +285,102 @@ let test_decode_rejects_bad_requests () =
     {|{"source":{"R":"a\n"},"target":{"S":"x\n"},"budget":0}|};
   check "negative jobs"
     {|{"source":{"R":"a\n"},"target":{"S":"x\n"},"jobs":-1}|}
+
+(* --- admission: the key computed while tokenizing --- *)
+
+open Relational
+
+(* What admission must agree with: every relation built by
+   [Csv.parse_relation], then fingerprinted and routed. *)
+let boxed_key cfg (r : Protocol.discover_request) =
+  let load what rels =
+    List.fold_left
+      (fun acc (name, csv) ->
+        Result.bind acc (fun db ->
+            match Csv.parse_relation ~max_bytes:cfg.Daemon.max_payload csv with
+            | exception Csv.Error m ->
+                Error (Printf.sprintf "%s relation %S: %s" what name m)
+            | _ when Database.mem db name ->
+                Error (Printf.sprintf "%s relation %S: duplicate relation name" what name)
+            | rel -> Ok (Database.add db name rel)))
+      (Ok Database.empty) rels
+  in
+  Result.bind (load "source" r.Protocol.source) (fun source ->
+      Result.map
+        (fun target ->
+          ( (Fingerprint.of_database source, Fingerprint.of_database target),
+            Cache.route_of_pair ~source ~target ))
+        (load "target" r.Protocol.target))
+
+let admission_gen =
+  let open QCheck2.Gen in
+  let side names =
+    list_size (int_range 1 3) (pair (oneofl names) Test_csv.relation_doc_gen)
+  in
+  map2
+    (fun source target -> Protocol.request ~source ~target ())
+    (side [ "R"; "Q"; "P" ]) (side [ "S"; "T"; "U" ])
+
+let prop_admit_key_oracle =
+  let cfg = Daemon.config ~max_payload:4096 () in
+  qcheck ~count:1000 "admit: streamed key and route = the built databases'"
+    admission_gen (fun req ->
+      let show = function
+        | Ok ((s, t), _route) ->
+            Printf.sprintf "key %s/%s" (Fingerprint.to_hex s) (Fingerprint.to_hex t)
+        | Error m -> "error " ^ m
+      in
+      let streamed = Result.map Daemon.admitted_key (Daemon.admit cfg req) in
+      let boxed = boxed_key cfg req in
+      match (streamed, boxed) with
+      | Ok ((s, t), route), Ok ((s', t'), route') ->
+          Fingerprint.equal s s' && Fingerprint.equal t t' && route = route'
+      | Error m, Error m' when m = m' -> true
+      | _ ->
+          QCheck2.Test.fail_reportf "admit: %s\nboxed: %s" (show streamed)
+            (show boxed))
+
+(* The serve-hit benchmark's request: three relations of 24 rows and 5
+   attributes per side, string keys and values mixed with ints. *)
+let hit_shaped_body () =
+  let g = Random.State.make [| 7 |] in
+  let rel r =
+    let att a = Printf.sprintf "h1x3_a%d%d" r a in
+    let rows =
+      List.init 24 (fun k ->
+          List.init 5 (fun a ->
+              if a = 0 then Printf.sprintf "h1x3_k%d_%d" r k
+              else if a mod 2 = 1 then string_of_int (1 + Random.State.int g 99_999)
+              else Printf.sprintf "h1x3_v%d" (Random.State.int g 1000)))
+    in
+    let name = Printf.sprintf "h1x3_R%d" r in
+    let renamed = Printf.sprintf "h1x3_b%d0" r :: List.init 4 (fun a -> att (a + 1)) in
+    ( (name, Csv.print (List.init 5 att :: rows)),
+      (name, Csv.print (renamed :: rows)) )
+  in
+  let rels = List.init 3 rel in
+  Json.to_string
+    (Protocol.encode_request
+       (Protocol.request ~source:(List.map fst rels) ~target:(List.map snd rels) ()))
+
+let test_admit_allocation () =
+  let body = hit_shaped_body () in
+  let cfg = Daemon.config () in
+  let admit () =
+    match Result.bind (Json.parse body) Protocol.decode_request with
+    | Error m -> Alcotest.failf "request: %s" m
+    | Ok r -> (
+        match Daemon.admit cfg r with
+        | Ok a -> ignore (Sys.opaque_identity a)
+        | Error m -> Alcotest.failf "admit: %s" m)
+  in
+  admit ();
+  let before = Gc.minor_words () in
+  admit ();
+  let words = Gc.minor_words () -. before in
+  if words > 20_000. then
+    Alcotest.failf "JSON + decode + admit of a 6 x 24 x 5 request: %.0f minor words (limit 20000)"
+      words
 
 (* --- anytime stream frames --- *)
 
@@ -598,38 +727,17 @@ let stats_counter stats path =
   in
   go stats path
 
-let test_stats_reconcile_with_trace () =
-  with_daemon @@ fun t agg ->
-  let port = Daemon.port t in
-  let source, target = rename_pair () in
-  let req = Protocol.request ~source ~target () in
-  ignore (check_outcome "miss" "mapping" (discover_once ~port req));
-  ignore (check_outcome "hit" "mapping" (discover_once ~port req));
-  (match Client.once ~host:"127.0.0.1" ~port ~meth:"GET" ~path:"/healthz" () with
-  | Ok (200, _) -> ()
-  | _ -> Alcotest.fail "healthz");
-  let stats =
-    match Json.parse (Daemon.stats_json t) with
-    | Ok j -> j
-    | Error m -> Alcotest.failf "stats: %s" m
+(* A rename pair whose request body exceeds the 64 KiB on-loop parse
+   bound, so it takes the ship-to-the-pool path; long values pad the
+   body while the instance stays small enough for the search. *)
+let big_rename_request ?(fill = 'x') () =
+  let pad = String.make 400 fill in
+  let rows =
+    String.concat ""
+      (List.init 200 (fun i -> Printf.sprintf "row%04d%s,%d\n" i pad i))
   in
-  let check path event =
-    Alcotest.(check int)
-      (String.concat "." path)
-      (Telemetry.Agg.counter agg event)
-      (stats_counter stats path)
-  in
-  check [ "requests"; "discover" ] "server.request.discover";
-  check [ "requests"; "healthz" ] "server.request.healthz";
-  check [ "responses"; "mapping" ] "server.response.mapping";
-  check [ "cache"; "hits" ] "cache.hit";
-  check [ "cache"; "misses" ] "cache.miss";
-  check [ "cache"; "warms" ] "cache.warm";
-  check [ "search"; "states_examined" ] "server.states_examined";
-  Alcotest.(check int) "two discovers" 2
-    (stats_counter stats [ "requests"; "discover" ]);
-  Alcotest.(check int) "one cache hit" 1
-    (stats_counter stats [ "cache"; "hits" ])
+  let csv = "name,id\n" ^ rows in
+  Protocol.request ~source:[ ("R", csv) ] ~target:[ ("S", csv) ] ()
 
 (* Regression: a SIGTERM sent as soon as the server announces itself
    must drain it, not kill the process. [run] installs its handlers
@@ -645,6 +753,18 @@ let test_run_sigterm_from_on_ready () =
       ready := Daemon.port t > 0;
       Unix.kill (Unix.getpid ()) Sys.sigterm);
   Alcotest.(check bool) "on_ready saw a bound port, run returned" true !ready
+
+(* A process-directed SIGTERM may land on any thread of the server —
+   the reactor, a worker, or the one waiting for a stop. Whichever it
+   is, every [run] must drain and return. *)
+let test_run_sigterm_stress () =
+  let config =
+    Daemon.config ~port:0 ~workers:1 ~queue_capacity:4 ~search_telemetry:false
+      ()
+  in
+  for _ = 1 to 200 do
+    Daemon.run config ~on_ready:(fun _ -> Unix.kill (Unix.getpid ()) Sys.sigterm)
+  done
 
 let test_graceful_drain () =
   let agg = Telemetry.Agg.create () in
@@ -828,18 +948,9 @@ let test_connection_reuse_after_4xx () =
 let test_big_body_offloaded () =
   with_daemon @@ fun t _agg ->
   let port = Daemon.port t in
-  (* A body over the 64 KiB on-loop parse bound takes the
-     ship-to-the-pool path: JSON parsing, preparation and the cache
-     probe all happen on a worker. Same rename workload, padded with
-     long values so the body crosses the bound while the instance stays
-     small enough for the search to solve. *)
-  let pad = String.make 400 'x' in
-  let rows =
-    String.concat ""
-      (List.init 200 (fun i -> Printf.sprintf "row%04d%s,%d\n" i pad i))
-  in
-  let csv = "name,id\n" ^ rows in
-  let req = Protocol.request ~source:[ ("R", csv) ] ~target:[ ("S", csv) ] () in
+  (* JSON parsing, admission and the cache probe all happen on a
+     worker for a body over the on-loop bound *)
+  let req = big_rename_request () in
   let body = Json.to_string (Protocol.encode_request req) in
   Alcotest.(check bool)
     "body actually exceeds the on-loop bound" true
@@ -849,6 +960,37 @@ let test_big_body_offloaded () =
   let second = check_outcome "big hit" "mapping" (discover_once ~port req) in
   Alcotest.(check string)
     "repeat is a cache hit through the pool" "hit" second.Protocol.cache
+
+let test_duplicate_relation_rejected () =
+  with_daemon @@ fun t agg ->
+  let port = Daemon.port t in
+  let source, target = rename_pair () in
+  (* a side that names one relation twice is refused with a 400 naming
+     it, on the loop and through the pool alike, and probes nothing *)
+  let twice side = side @ [ (fst (List.hd side), "name,id\ncarol,3\n") ] in
+  let big = big_rename_request () in
+  List.iter
+    (fun (what, req, expected) ->
+      match discover_once ~port req with
+      | Ok (400, Error body) ->
+          Alcotest.(check string) what (Protocol.error_body expected) body
+      | Ok (s, _) -> Alcotest.failf "%s: expected 400, got %d" what s
+      | Error m -> Alcotest.failf "%s: %s" what m)
+    [
+      ( "source",
+        Protocol.request ~source:(twice source) ~target (),
+        {|source relation "R": duplicate relation name|} );
+      ( "target",
+        Protocol.request ~source ~target:(twice target) (),
+        {|target relation "S": duplicate relation name|} );
+      ( "oversized",
+        { big with Protocol.target = twice big.Protocol.target },
+        {|target relation "S": duplicate relation name|} );
+    ];
+  Alcotest.(check int) "counted as bad requests" 3
+    (Telemetry.Agg.counter agg "server.reject.bad_request");
+  Alcotest.(check int) "no cache probe" 0
+    (Telemetry.Agg.counter agg "cache.miss" + Telemetry.Agg.counter agg "cache.hit")
 
 (* --- anytime streaming e2e --- *)
 
@@ -884,6 +1026,64 @@ let resume_once conn token =
     | _ -> ()
   in
   (Client.discover_resume conn ~on_frame token, !frames)
+
+let test_stats_reconcile_with_trace () =
+  with_daemon @@ fun t agg ->
+  let port = Daemon.port t in
+  let source, target = rename_pair () in
+  let req = Protocol.request ~source ~target () in
+  ignore (check_outcome "miss" "mapping" (discover_once ~port req));
+  ignore (check_outcome "hit" "mapping" (discover_once ~port req));
+  (match Client.once ~host:"127.0.0.1" ~port ~meth:"GET" ~path:"/healthz" () with
+  | Ok (200, _) -> ()
+  | _ -> Alcotest.fail "healthz");
+  (* a miss then a hit on every other route to the one probe: oversized
+     bodies (admitted by a worker), anytime bodies on the loop, and
+     oversized anytime bodies *)
+  let big = big_rename_request () in
+  ignore (check_outcome "oversized miss" "mapping" (discover_once ~port big));
+  ignore (check_outcome "oversized hit" "mapping" (discover_once ~port big));
+  let conn = Client.connect ~host:"127.0.0.1" ~port in
+  Fun.protect ~finally:(fun () -> Client.close conn) (fun () ->
+      let source, target = rename_pair ~suffix:"carol,3\n" () in
+      let anytime = Protocol.request ~source ~target () in
+      let big_anytime = big_rename_request ~fill:'y' () in
+      (* a miss may be served warm from a near-miss entry *)
+      List.iter
+        (fun (what, req, hit) ->
+          let resp, _ = anytime_once conn req in
+          Alcotest.(check bool) what hit (resp.Protocol.cache = "hit"))
+        [
+          ("anytime miss", anytime, false);
+          ("anytime hit", anytime, true);
+          ("oversized anytime miss", big_anytime, false);
+          ("oversized anytime hit", big_anytime, true);
+        ]);
+  let stats =
+    match Json.parse (Daemon.stats_json t) with
+    | Ok j -> j
+    | Error m -> Alcotest.failf "stats: %s" m
+  in
+  let check path event =
+    Alcotest.(check int)
+      (String.concat "." path)
+      (Telemetry.Agg.counter agg event)
+      (stats_counter stats path)
+  in
+  check [ "requests"; "discover" ] "server.request.discover";
+  check [ "requests"; "healthz" ] "server.request.healthz";
+  check [ "responses"; "mapping" ] "server.response.mapping";
+  check [ "cache"; "hits" ] "cache.hit";
+  check [ "cache"; "misses" ] "cache.miss";
+  check [ "cache"; "warms" ] "cache.warm";
+  check [ "search"; "states_examined" ] "server.states_examined";
+  Alcotest.(check int) "eight discovers" 8
+    (stats_counter stats [ "requests"; "discover" ]);
+  (* the ledger: each request probed the cache exactly once *)
+  Alcotest.(check int) "four cache hits" 4
+    (stats_counter stats [ "cache"; "hits" ]);
+  Alcotest.(check int) "four cache misses, none probed twice" 4
+    (stats_counter stats [ "cache"; "misses" ])
 
 let test_anytime_streams_and_resume_completes () =
   with_daemon @@ fun t agg ->
@@ -1155,4 +1355,14 @@ let suite =
       test_frontier_capacity_lru;
     Alcotest.test_case "e2e: anytime rejects bad requests up front" `Quick
       test_anytime_rejects_bad_requests;
+    json_string_round_trip;
+    Alcotest.test_case "json: \\u escapes decode to UTF-8" `Quick
+      test_json_unicode_escapes;
+    prop_admit_key_oracle;
+    Alcotest.test_case "admit: hit-shaped request allocation bound" `Quick
+      test_admit_allocation;
+    Alcotest.test_case "e2e: duplicate relation names answer 400" `Quick
+      test_duplicate_relation_rejected;
+    Alcotest.test_case "e2e: 200 runs each drain on SIGTERM" `Quick
+      test_run_sigterm_stress;
   ]

@@ -75,6 +75,72 @@ let test_type_names () =
        [ Value.Null; Value.Bool true; Value.Int 1; Value.Float 1.0;
          Value.String "x" ])
 
+(* The guessing rule as it was first written, over whole strings with
+   the stdlib parsers: the oracle for the slice classifier. *)
+let reference_guess s =
+  let int_literal =
+    s <> ""
+    && (match s.[0] with '-' | '+' -> String.length s > 1 | _ -> true)
+    && String.for_all (fun c -> c >= '0' && c <= '9')
+         (match s.[0] with '-' | '+' -> String.sub s 1 (String.length s - 1) | _ -> s)
+  in
+  match s with
+  | "" | "NULL" | "null" -> Value.Null
+  | "true" -> Value.Bool true
+  | "false" -> Value.Bool false
+  | _ when int_literal -> (
+      match int_of_string_opt s with Some n -> Value.Int n | None -> Value.String s)
+  | _ when String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s -> (
+      match float_of_string_opt s with
+      | Some f -> Value.Float f
+      | None -> Value.String s)
+  | _ -> Value.String s
+
+let same_value a b =
+  Value.type_name a = Value.type_name b
+  && match (a, b) with
+     | Value.Float x, Value.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+     | _ -> Value.equal a b
+
+let guess_gen =
+  let open QCheck2.Gen in
+  let chars =
+    oneofl
+      [ '0'; '1'; '9'; '+'; '-'; '.'; 'e'; 'E'; '_'; ' '; '\t'; 'i'; 'n'; 'f';
+        'a'; 'N'; 'U'; 'L'; 'x'; 'p'; '('; ')'; 't'; 'r'; 'u' ]
+  in
+  let literal =
+    oneofl
+      [ "4611686018427387903"; "4611686018427387904"; "-4611686018427387904";
+        "-4611686018427387905"; "99999999999999999999"; "nan"; "inf"; "-infinity";
+        "nan(e)"; "0x1p3"; "1_0.5"; " 1.5"; "1.5e"; "NULL"; "null"; "true";
+        "false"; ""; "+"; "-"; "00"; "+0"; "-0.0" ]
+  in
+  let* body = oneof [ string_size ~gen:chars (int_range 0 8); literal ] in
+  let* pre = string_size ~gen:chars (int_range 0 3) in
+  let* post = string_size ~gen:chars (int_range 0 3) in
+  return (pre, body, post)
+
+let prop_guess_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000
+       ~name:"value: guess on a slice = the whole-string rule"
+       ~print:(fun (a, b, c) -> Printf.sprintf "%S|%S|%S" a b c)
+       guess_gen
+       (fun (pre, body, post) ->
+         let s = pre ^ body ^ post in
+         let off = String.length pre and len = String.length body in
+         let via_slice =
+           match Value.guess s off len with
+           | Value.G_null -> Value.Null
+           | G_bool b -> Value.Bool b
+           | G_int n -> Value.Int n
+           | G_float f -> Value.Float f
+           | G_string -> Value.String body
+         in
+         same_value via_slice (reference_guess body)
+         && same_value (Value.of_string_guess body) (reference_guess body)))
+
 let suite =
   [
     Alcotest.test_case "of_string_guess" `Quick test_of_string_guess;
@@ -84,4 +150,5 @@ let suite =
     Alcotest.test_case "coercions" `Quick test_coercions;
     Alcotest.test_case "display rendering" `Quick test_display;
     Alcotest.test_case "type names" `Quick test_type_names;
+    prop_guess_matches_reference;
   ]
