@@ -593,6 +593,8 @@ let ingest_channel cfg cdb ~name ic =
         let ids =
           List.map
             (fun a ->
+              if a = "" then
+                error "migrate: relation %S: empty attribute name" name;
               let s = Intern.string_id a in
               if Hashtbl.mem seen s then
                 error "migrate: relation %S: duplicate attribute %S" name a;

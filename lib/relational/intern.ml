@@ -7,13 +7,23 @@
    element lanes — is computed once at interning time and then read with
    plain array loads.
 
-   Domain safety. Interning takes a global mutex; id → entry lookups are
-   lock-free. The entry arrays grow by copy: the (atomic) array pointer is
-   replaced with a larger copy, never mutated in place past its published
-   length, so a reader holding any previously issued id always finds its
-   entry. Ids reach other domains only through synchronized channels (the
-   search work queues) or through caches derived from already-visible ids,
-   so the plain element reads are ordered after the interning writes.
+   Domain safety. Inserts take a global mutex; lookups, by id or by key,
+   take none. A pool is an entry array plus an open-addressing index, a
+   power-of-two [int array] of ids (-1 = empty) probed linearly and kept
+   at most half full. Both sit in [Atomic]s and grow by copy, the bigger
+   array fully written before the swap, so a reader holding an issued id
+   finds its entry. Ids reach other domains only through synchronized
+   channels (the search work queues) or caches derived from visible ids,
+   so entry reads by id are ordered after the interning writes.
+
+   A key lookup races with inserts. An insert writes the entry, then its
+   slot, and a slot only goes from -1 to an id, but a racy slot read
+   orders nothing: it may see a stale -1, or an id whose entry it cannot
+   see yet. The probe accepts an id only if it is in range of the entry
+   array it loaded, its entry is not the dummy (by physical identity: the
+   dummy's key "" would match ""), and the entry holds the key. Anything
+   else is a miss, and a miss probes again under the mutex. A race can
+   cost a lock, never a wrong id.
 
    The pools are process-global and append-only: they grow for the life of
    the process (see DESIGN.md, "Interned hot path" — a deliberate trade-off
@@ -43,33 +53,6 @@ type val_entry = {
   null : bool;
 }
 
-(* Structural identity for the value index: one id per distinct
-   representation. Floats are keyed by their bits so the pool never
-   conflates values the canonical key distinguishes; note this is FINER
-   than [Value.compare] (Int 1 and Float 1.0 get distinct ids, and compare
-   equal), which is why the comparison helpers below go through
-   [Value.compare] rather than id equality. *)
-module VH = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal a b =
-    match (a, b) with
-    | Value.Null, Value.Null -> true
-    | Value.Bool x, Value.Bool y -> Bool.equal x y
-    | Value.Int x, Value.Int y -> Int.equal x y
-    | Value.Float x, Value.Float y ->
-        Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-    | Value.String x, Value.String y -> String.equal x y
-    | _ -> false
-
-  let hash = function
-    | Value.Null -> 17
-    | Value.Bool b -> Hashtbl.hash b
-    | Value.Int n -> Hashtbl.hash n
-    | Value.Float f -> Hashtbl.hash (Int64.bits_of_float f)
-    | Value.String s -> Hashtbl.hash s
-end)
-
 let value_tag = function
   | Value.Null -> 0
   | Value.Bool _ -> 1
@@ -91,113 +74,149 @@ let dummy_str =
   }
 
 let dummy_val = { value = Value.Null; vstr = 0; tag = 0; null = true }
-let str_index : (string, int) Hashtbl.t = Hashtbl.create 65536
-let str_entries = Atomic.make (Array.make 4096 dummy_str)
-let str_len = ref 0
-let val_index : int VH.t = VH.create 65536
-let val_entries = Atomic.make (Array.make 4096 dummy_val)
-let val_len = ref 0
 
-(* Callers hold [mutex]. Returns the array with room at index [!len]. *)
-let room entries len dummy =
-  let arr = Atomic.get entries in
-  if !len < Array.length arr then arr
-  else begin
-    let bigger = Array.make (2 * Array.length arr) dummy in
-    Array.blit arr 0 bigger 0 !len;
-    Atomic.set entries bigger;
-    bigger
-  end
+(* One pool: an entry per id, ids dense in first-intern order, and the
+   open-addressing key index over them. Inserts hold [mutex]. *)
+module Pool (K : sig
+  type key
+  type entry
 
-let intern_string_locked s =
-  match Hashtbl.find_opt str_index s with
-  | Some id -> id
-  | None ->
-      let fnv = Fingerprint.Hashing.fnv1a64 s in
-      let prefix = Fingerprint.Hashing.fnv_char fnv '\x1f' in
-      let ea, eb = Fingerprint.Hashing.lanes fnv in
-      let id = !str_len in
-      let arr = room str_entries str_len dummy_str in
-      arr.(id) <-
-        { str = s; fnv; prefix; ea; eb; as_value = -1; cell_ea = [||] };
-      str_len := id + 1;
-      Hashtbl.add str_index s id;
-      id
+  val dummy : entry
+  val key : entry -> key
+  val equal : key -> key -> bool
+  val hash : key -> int
+end) =
+struct
+  let entries = Atomic.make (Array.make 4096 K.dummy)
+  let index = Atomic.make (Array.make 8192 (-1))
+  let len = ref 0
 
-(* Read-only snapshots of the two indexes. Lookups of already-interned
-   keys — the overwhelmingly common case on the successor hot path, where
-   operator names arrive as strings and every name is already pooled —
-   need no lock at all: the snapshot tables are never mutated after
-   publication, so concurrent [find_opt]s are safe. A miss falls back to
-   the mutex and re-checks the authoritative index under it, so snapshot
-   staleness never affects the answer, only which path computes it.
+  (* Id of [k] probing [idx] from slot [i], or -1: a miss, or a slot
+     whose entry this domain cannot see yet. Top-level and closure-free,
+     so a hit allocates nothing. *)
+  let rec probe entries idx k i =
+    let id = Array.unsafe_get idx i in
+    if id < 0 || id >= Array.length entries then -1
+    else
+      let e = Array.unsafe_get entries id in
+      if e == K.dummy then -1
+      else if K.equal k (K.key e) then id
+      else probe entries idx k ((i + 1) land (Array.length idx - 1))
 
-   Snapshots are republished {e amortized}, not on every insertion: a
-   fresh copy only once the mutex path has been taken [64 + pooled/8]
-   times since the last publish. Copying the whole index per insert made
-   bulk ingest quadratic (interning n distinct values cost O(n²) bytes of
-   Hashtbl copies, all allocated directly on the major heap — the GC debt
-   behind the cold-search p99 noted in ROADMAP item 1); the amortized
-   policy bounds total copy work at O(n) while keeping the steady-state
-   hot path lock-free. Counting mutex-path {e lookups} (not just inserts)
-   toward the threshold guarantees a key interned after the last publish
-   stops paying the mutex once it has been looked up a bounded number of
-   times. *)
-let str_read : (string, int) Hashtbl.t Atomic.t =
-  Atomic.make (Hashtbl.create 1)
+  let slot idx k = K.hash k land (Array.length idx - 1)
 
-let val_read : int VH.t Atomic.t = Atomic.make (VH.create 1)
+  let find k =
+    let idx = Atomic.get index in
+    probe (Atomic.get entries) idx k (slot idx k)
 
-(* Guarded by [mutex]. *)
-let stale = ref 0
+  let rec place idx i id =
+    if Array.unsafe_get idx i < 0 then Array.unsafe_set idx i id
+    else place idx ((i + 1) land (Array.length idx - 1)) id
 
-let publish_locked () =
-  Atomic.set str_read (Hashtbl.copy str_index);
-  Atomic.set val_read (VH.copy val_index);
-  stale := 0
+  (* The entry is written before its slot; a full index is rebuilt at
+     twice the size and swapped in whole. *)
+  let add_locked e =
+    let id = !len in
+    let arr = Atomic.get entries in
+    let arr =
+      if id < Array.length arr then arr
+      else begin
+        let bigger = Array.make (2 * Array.length arr) K.dummy in
+        Array.blit arr 0 bigger 0 id;
+        Atomic.set entries bigger;
+        bigger
+      end
+    in
+    arr.(id) <- e;
+    len := id + 1;
+    let idx = Atomic.get index in
+    if 2 * (id + 1) <= Array.length idx then place idx (slot idx (K.key e)) id
+    else begin
+      let bigger = Array.make (2 * Array.length idx) (-1) in
+      for j = 0 to id do
+        place bigger (slot bigger (K.key arr.(j))) j
+      done;
+      Atomic.set index bigger
+    end;
+    id
 
-let maybe_publish_locked () =
-  incr stale;
-  if !stale >= 64 + (Hashtbl.length str_index + VH.length val_index) / 8 then
-    publish_locked ()
+  let intern_locked make k =
+    let id = find k in
+    if id >= 0 then id else add_locked (make k)
 
-let string_id s =
-  match Hashtbl.find_opt (Atomic.get str_read) s with
-  | Some id -> id
-  | None ->
+  (* The lock-free probe first; a miss re-probes under the mutex. *)
+  let intern make k =
+    let id = find k in
+    if id >= 0 then id
+    else begin
       Mutex.lock mutex;
-      let id = intern_string_locked s in
-      maybe_publish_locked ();
+      let id = intern_locked make k in
       Mutex.unlock mutex;
       id
+    end
+end
 
-let intern_value_locked v =
-  match VH.find_opt val_index v with
-  | Some id -> id
-  | None ->
-      let vstr = intern_string_locked (Value.to_string v) in
-      let id = !val_len in
-      let arr = room val_entries val_len dummy_val in
-      arr.(id) <-
-        { value = v; vstr; tag = value_tag v; null = Value.is_null v };
-      val_len := id + 1;
-      VH.add val_index v id;
-      id
+module Strings = Pool (struct
+  type key = string
+  type entry = str_entry
 
-let value_id v =
-  match VH.find_opt (Atomic.get val_read) v with
-  | Some id -> id
-  | None ->
-      Mutex.lock mutex;
-      let id = intern_value_locked v in
-      (* A value insert may also have pooled its printed form; the shared
-         publish refreshes both snapshots together. *)
-      maybe_publish_locked ();
-      Mutex.unlock mutex;
-      id
+  let dummy = dummy_str
+  let key e = e.str
+  let equal = String.equal
+  let hash (s : string) = Hashtbl.hash s
+end)
 
-let str_entry id = (Atomic.get str_entries).(id)
-let val_entry id = (Atomic.get val_entries).(id)
+(* Structural identity: one id per distinct representation. Floats are
+   keyed by their bits so the pool never conflates values the canonical
+   key distinguishes; note this is FINER than [Value.compare] (Int 1 and
+   Float 1.0 get distinct ids, and compare equal), which is why the
+   comparison helpers below go through [Value.compare] rather than id
+   equality. A float hashes by value, not by boxed bits, so a hit
+   allocates nothing: 0.0 and -0.0 (and all NaNs) share a hash and are
+   told apart by [equal]. *)
+module Values = Pool (struct
+  type key = Value.t
+  type entry = val_entry
+
+  let dummy = dummy_val
+  let key e = e.value
+
+  let equal a b =
+    match (a, b) with
+    | Value.Null, Value.Null -> true
+    | Value.Bool x, Value.Bool y -> Bool.equal x y
+    | Value.Int x, Value.Int y -> Int.equal x y
+    | Value.Float x, Value.Float y ->
+        Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+    | Value.String x, Value.String y -> String.equal x y
+    | _ -> false
+
+  let hash = function
+    | Value.Null -> 17
+    | Value.Bool b -> Hashtbl.hash b
+    | Value.Int n -> Hashtbl.hash n
+    | Value.Float f -> Hashtbl.hash f
+    | Value.String s -> Hashtbl.hash s
+end)
+
+let new_str_entry s =
+  let fnv = Fingerprint.Hashing.fnv1a64 s in
+  let prefix = Fingerprint.Hashing.fnv_char fnv '\x1f' in
+  let ea, eb = Fingerprint.Hashing.lanes fnv in
+  { str = s; fnv; prefix; ea; eb; as_value = -1; cell_ea = [||] }
+
+let new_val_entry v =
+  {
+    value = v;
+    vstr = Strings.intern_locked new_str_entry (Value.to_string v);
+    tag = value_tag v;
+    null = Value.is_null v;
+  }
+
+let string_id s = Strings.intern new_str_entry s
+let value_id v = Values.intern new_val_entry v
+let str_entry id = (Atomic.get Strings.entries).(id)
+let val_entry id = (Atomic.get Values.entries).(id)
 let string_of_id id = (str_entry id).str
 let string_fnv id = (str_entry id).fnv
 let string_prefix id = (str_entry id).prefix
@@ -283,29 +302,6 @@ let canonical_equal_values a b =
 
 let size () =
   Mutex.lock mutex;
-  let s = (!str_len, !val_len) in
+  let s = (!Strings.len, !Values.len) in
   Mutex.unlock mutex;
   s
-
-(* Pre-size the entry arrays so a bulk ingest with a known cardinality
-   estimate pays one large allocation up front instead of a doubling
-   cascade of copy-the-whole-pool major allocations mid-stream. Same
-   publication discipline as [room]: the bigger array is fully written
-   before the atomic pointer swap. *)
-let reserve ~strings ~values =
-  let grow entries len dummy want =
-    let arr = Atomic.get entries in
-    if want > Array.length arr then begin
-      let size = ref (Array.length arr) in
-      while !size < want do
-        size := 2 * !size
-      done;
-      let bigger = Array.make !size dummy in
-      Array.blit arr 0 bigger 0 !len;
-      Atomic.set entries bigger
-    end
-  in
-  Mutex.lock mutex;
-  grow str_entries str_len dummy_str strings;
-  grow val_entries val_len dummy_val values;
-  Mutex.unlock mutex

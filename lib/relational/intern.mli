@@ -1,11 +1,16 @@
 (** Global hash-consing pools: strings and values as dense int ids.
 
     The search hot path ({!Irel}, {!Idb}, successor generation, heuristic
-    profiles) carries ids instead of boxed strings and values. Interning is
-    mutex-guarded; id lookups are lock-free plain reads (the entry arrays
-    grow by copy and are never mutated past their published length), so any
-    number of domains can read while one interns — see DESIGN.md, "Interned
-    hot path", for the full domain-safety story.
+    profiles) carries ids instead of boxed strings and values. Inserting a
+    new key is mutex-guarded; both lookups are lock-free. An id lookup is a
+    plain read (the entry arrays grow by copy and are never mutated past
+    their issued ids). A key lookup ({!string_id}, {!value_id}) probes an
+    open-addressing index of ids and allocates nothing on a hit; it accepts
+    an id only after checking that id's entry holds the key, and a miss
+    probes again under the mutex, so a racing insert can cost a lock but
+    never yield a wrong id. Any number of domains can read while one
+    interns — see DESIGN.md, "Interned hot path", for the full
+    domain-safety story.
 
     Identity:
     - string ids: one per distinct string; id equality ⟺ string equality.
@@ -78,9 +83,3 @@ val canonical_equal_values : int -> int -> bool
 
 val size : unit -> int * int
 (** [(distinct strings, distinct values)] interned so far. *)
-
-val reserve : strings:int -> values:int -> unit
-(** Pre-size the entry pools for at least that many distinct strings and
-    values. A cardinality hint for bulk ingest: one up-front allocation
-    instead of a doubling cascade of pool copies mid-stream. Never
-    shrinks. *)

@@ -30,4 +30,5 @@ let () =
       ("server.cache", Test_server_cache.suite);
       ("migrate", Test_migrate.suite);
       ("properties", Test_props.suite);
+      ("intern", Test_intern.suite);
     ]

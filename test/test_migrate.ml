@@ -150,7 +150,13 @@ let test_ingest_errors () =
       Alcotest.(check bool) "duplicate attribute" true
         (match Migrate.ingest_channel cfg Migrate.Cdb.empty ~name:"R" ic with
         | exception Migrate.Error _ -> true
-        | _ -> false))
+        | _ -> false));
+  with_temp_csv "a,,b\n1,2,3\n" (fun _ ic ->
+      Alcotest.(check string) "empty attribute name"
+        "migrate: relation \"R\": empty attribute name"
+        (match Migrate.ingest_channel cfg Migrate.Cdb.empty ~name:"R" ic with
+        | exception Migrate.Error msg -> msg
+        | _ -> "accepted"))
 
 let test_emit_roundtrip () =
   (* emit_channel then parse_relation recovers the relation (modulo the
