@@ -39,6 +39,11 @@ let load_database ~what specs =
   List.fold_left
     (fun db spec ->
       let name, path = parse_rel_spec spec in
+      if Database.mem db name then
+        raise
+          (Csv.Error
+             (context "%s relation %S (%s): duplicate relation name" what name
+                path));
       let contents =
         try read_file path
         with Sys_error m ->
@@ -453,6 +458,10 @@ let apply_cmd =
 (* --- migrate --- *)
 
 let migrate_cmd_run program_path inputs semfuns out_dir jobs chunk_rows =
+  if jobs < 0 then fail "--jobs must be >= 0 (got %d)" jobs
+  else if chunk_rows < 1 then
+    fail "--chunk-rows must be >= 1 (got %d)" chunk_rows
+  else
   try
     let text = read_file program_path in
     match Fira.Parser.expr_of_string text with

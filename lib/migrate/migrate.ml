@@ -12,12 +12,16 @@
      detects promotion into an existing column) before every chunk is
      rebuilt against the full combined schema — a chunk that never sees
      name "x" still gains the all-null column "x".
-   - µ (merge): rows are regrouped across chunks by the key cell's
-     printed form (the boxed Relation.merge group key), each group is
-     deduplicated into canonical order and fed REVERSED to the exact
-     same greedy fixpoint (Irel.merge_rows) the sequential path runs —
-     µ's fixpoint is order-dependent, so replicating the boxed feeding
-     order is what keeps chunked ≡ sequential.
+   - µ (merge): Irel.merge_chunks, the kernel the sequential Irel.merge
+     runs too. Rows are grouped across chunks by the key cell's printed
+     form (the boxed Relation.merge group key). A repeated key's rows
+     fold column by column into one lub row, which is exactly where the
+     greedy fixpoint ends when each column holds at most one non-null
+     id; only a group with a conflicting column is deduplicated into
+     canonical order and fed REVERSED to the fixpoint itself — µ's
+     fixpoint is order-dependent, so replicating the boxed feeding order
+     is what keeps chunked ≡ sequential. Unique-key rows stay in their
+     chunks; if no key repeats the chunks are shared as they are.
    - ℘ (partition): per-chunk partitions are regrouped by key value
      equivalence class (Relation.classes, the grouping rule every
      evaluator shares); a class's chunk-groups simply become the chunks
@@ -55,24 +59,6 @@ let att_index atts att =
     else go (j + 1)
   in
   go 0
-
-(* Split [xs] into consecutive batches of at most [n]. *)
-let chunk_list n xs =
-  let rec take k acc rest =
-    if k = 0 then (List.rev acc, rest)
-    else
-      match rest with
-      | [] -> (List.rev acc, [])
-      | x :: tl -> take (k - 1) (x :: acc) tl
-  in
-  let rec go xs =
-    match xs with
-    | [] -> []
-    | _ ->
-        let batch, rest = take n [] xs in
-        batch :: go rest
-  in
-  go xs
 
 module Cdb = struct
   type crel = { catts : int array; cchunks : Irel.t list }
@@ -130,10 +116,7 @@ module Cdb = struct
 
   let of_database ~chunk_rows db = of_idb ~chunk_rows (Idb.of_database db)
 
-  let coalesce r =
-    match r.cchunks with
-    | [ c ] -> c (* already canonical: chunks are *)
-    | cs -> Irel.of_rows r.catts (List.concat_map Irel.to_rows cs)
+  let coalesce r = Irel.concat r.catts r.cchunks
 
   let to_idb t =
     List.fold_left (fun idb (name, r) -> Idb.add idb name (coalesce r)) Idb.empty t
@@ -321,100 +304,15 @@ let apply_op cfg registry pool op cdb =
       let r = find old_name in
       Cdb.add (Cdb.remove cdb (id old_name)) (id new_name) r
   | Op.Merge { rel; col } ->
+      (* One µ kernel with the sequential path (Irel.merge): keys are
+         grouped across chunks, a repeated key folds into its lub row,
+         and only a conflicting group runs the greedy fixpoint. *)
       let r = find rel in
-      let catts = r.Cdb.catts in
-      let ki = att_index catts (id col) in
-      (* Pass 1 (parallel): per-chunk key tallies by the key cell's
-         printed form — the boxed Relation.merge group key. µ only acts
-         on keys occurring more than once; everything else is identity. *)
-      let tallies =
-        pmap
-          (fun c ->
-            let kids = Irel.col_ids c ki in
-            let t = Hashtbl.create 256 in
-            Array.iter
-              (fun kid ->
-                let key = Intern.value_str_id kid in
-                match Hashtbl.find_opt t key with
-                | Some n -> Hashtbl.replace t key (n + 1)
-                | None -> Hashtbl.add t key 1)
-              kids;
-            t)
-          r.Cdb.cchunks
+      let chunks =
+        Irel.merge_chunks { Irel.map = pmap } ~chunk_rows r.Cdb.cchunks (id col)
       in
-      let counts =
-        Hashtbl.create
-          (List.fold_left (fun n t -> n + Hashtbl.length t) 16 tallies)
-      in
-      List.iter
-        (fun t ->
-          Hashtbl.iter
-            (fun k n ->
-              match Hashtbl.find_opt counts k with
-              | Some m -> Hashtbl.replace counts k (m + n)
-              | None -> Hashtbl.add counts k n)
-            t)
-        tallies;
-      let contested k =
-        match Hashtbl.find_opt counts k with Some n -> n > 1 | None -> false
-      in
-      if not (Hashtbl.fold (fun _ n acc -> acc || n > 1) counts false) then
-        cdb (* all keys unique: µ is the identity, chunks shared as-is *)
-      else begin
-        (* Pass 2 (parallel): split each chunk into kept rows (unique
-           key — a canonical subsequence, no re-sort) and contested rows
-           to regroup across chunks. [counts] is read-only here, so the
-           concurrent lookups are safe. *)
-        let splits =
-          pmap
-            (fun c ->
-              let kids = Irel.col_ids c ki in
-              let keys = Array.map Intern.value_str_id kids in
-              let flags = Array.map contested keys in
-              let kept = Irel.filter_idx c (fun i -> not flags.(i)) in
-              let rows = ref [] in
-              Array.iteri
-                (fun i f ->
-                  if f then rows := (keys.(i), Irel.row_of c i) :: !rows)
-                flags;
-              (kept, !rows))
-            r.Cdb.cchunks
-        in
-        let groups : (int, int array list ref) Hashtbl.t =
-          Hashtbl.create 1024
-        in
-        List.iter
-          (fun (_, rows) ->
-            List.iter
-              (fun (key, row) ->
-                match Hashtbl.find_opt groups key with
-                | Some l -> l := row :: !l
-                | None -> Hashtbl.add groups key (ref [ row ]))
-              rows)
-          splits;
-        let glist = Hashtbl.fold (fun _ l acc -> !l :: acc) groups [] in
-        (* Each group: global dedup into canonical order, then the greedy
-           fixpoint on the REVERSED rows — the boxed feeding order, which
-           determines which fixpoint µ reaches. Groups are batched so the
-           pool's task granularity amortizes over many small groups. *)
-        let merged =
-          pmap
-            (fun batch ->
-              List.concat_map
-                (fun rows ->
-                  match List.sort_uniq Irel.compare_rows rows with
-                  | [ row ] -> [ row ]
-                  | sorted -> Irel.merge_rows (List.rev sorted))
-                batch)
-            (chunk_list 64 glist)
-        in
-        let merged_chunks =
-          pmap (fun rs -> Irel.of_rows catts rs)
-            (chunk_list chunk_rows (List.concat merged))
-        in
-        replace rel
-          (Cdb.crel catts (List.map fst splits @ merged_chunks))
-      end
+      if chunks == r.Cdb.cchunks then cdb (* no key repeats: chunks shared *)
+      else replace rel (Cdb.crel r.Cdb.catts chunks)
   | Op.Partition { rel; col } ->
       (* Each chunk's classes, regrouped in chunk order by the shared rule
          (as the check names them); a class's chunk-groups become the
@@ -570,6 +468,8 @@ let run_idb ?registry cfg expr idb =
 (* Streaming CSV                                                       *)
 
 let ingest_channel cfg cdb ~name ic =
+  if Cdb.mem cdb (Intern.string_id name) then
+    error "migrate: relation %S: duplicate relation name" name;
   let tel = cfg.telemetry in
   let atts = ref [||] in
   let width = ref 0 in

@@ -14,8 +14,11 @@
     Per-row operators (ρ/↓/→/λ/π̄/σ) apply to each chunk independently.
     Operators whose result depends on the whole relation run a
     partition-then-merge plan: ↑ takes a global new-column pass before
-    the per-chunk rebuild, µ regroups rows across chunks by the key
-    value's printed form and ℘ by its {!Value.compare} class, − probes a
+    the per-chunk rebuild, µ groups rows across chunks by the key
+    value's printed form with {!Irel.merge_chunks} (the kernel of
+    {!Irel.merge}: a repeated key becomes its lub row unless a column
+    conflicts, and only then runs the greedy fixpoint), ℘ groups them
+    by the key's {!Value.compare} class, − probes a
     sorted materialization of the right side, ∪ concatenates chunk
     lists, and ⋈ (never emitted by discovery)
     coalesces and delegates to the boxed implementation. Chunks stay
@@ -61,8 +64,9 @@ module Cdb : sig
 
   val to_idb : t -> Idb.t
   (** Concatenate and canonicalize each relation — the final global
-      sort/dedup of a migration. Single-chunk relations are passed
-      through untouched. *)
+      sort/dedup of a migration ({!Irel.concat}). Single-chunk relations
+      are passed through untouched, and chunks already in order are
+      joined column by column. *)
 
   val to_database : t -> Database.t
 end
@@ -128,8 +132,8 @@ val ingest_channel : config -> Cdb.t -> name:string -> in_channel -> Cdb.t
     whole-document string. Short rows are padded with nulls, long rows
     truncated, cells parsed with {!Value.of_string_guess} (all exactly
     as {!Csv.parse_relation}). Emits [migrate.ingest.rows] telemetry.
-    Replaces [name] if already bound.
-    @raise Error on an empty document or duplicate header attribute.
+    @raise Error when [cdb] already binds [name], and on an empty
+    document, an empty attribute name or a duplicate header attribute.
     @raise Cancelled when [stop] fires between chunks. *)
 
 val emit_channel : config -> out_channel -> Irel.t -> unit

@@ -408,10 +408,9 @@ let lub a b =
 (* The µ in-group greedy fixpoint: repeatedly find any compatible pair,
    replace it with its lub, until no pair merges. Input order matters to
    which fixpoint is reached (µ is not confluent on pathological groups),
-   so callers must feed rows in the boxed [Relation.merge] order: the
-   group's canonical rows, reversed. Factored out so the chunked bulk
-   executor ([Migrate]) can run the exact same fixpoint on groups it
-   reassembles across chunk boundaries. *)
+   so rows come in the boxed [Relation.merge] order: the group's
+   canonical rows, reversed. Only groups the µ kernel below finds in
+   conflict get here. *)
 let merge_group ~changed rows =
   let rec go rows =
     let rec extract_one seen = function
@@ -434,8 +433,6 @@ let merge_group ~changed rows =
     | None -> rows
   in
   go rows
-
-let merge_rows rows = merge_group ~changed:(ref false) rows
 
 (* The µ-identity certificate. Two rows µ merges are compatible: they
    agree (under Value.compare) wherever both are non-null, so in
@@ -475,53 +472,26 @@ let mu_identity t =
     injective
   end
 
-let merge_column r ai =
-  let kids = r.cols.(ai).ids in
-  let changed = ref false in
-  let merge_group rows = merge_group ~changed rows in
-  (* Group ROW INDICES by the cell's printed form — exactly
-     Relation.merge's [Value.to_string] Hashtbl key (vstr id equality ⟺
-     string equality). Consing indices reproduces the reversed in-group
-     row order the boxed implementation feeds to [merge_group]. *)
-  let groups = Hashtbl.create 16 in
-  let order = ref [] in
-  Array.iteri
-    (fun i v ->
-      let key = Intern.value_str_id v in
-      match Hashtbl.find_opt groups key with
-      | None ->
-          order := key :: !order;
-          Hashtbl.add groups key (ref [ i ])
-      | Some l -> l := i :: !l)
-    kids;
-  (* Only multi-row groups can merge; singletons never materialize. *)
-  let merged = Hashtbl.create 8 in
-  List.iter
-    (fun key ->
-      match !(Hashtbl.find groups key) with
-      | [] | [ _ ] -> ()
-      | idxs -> Hashtbl.add merged key (merge_group (List.map (row_of r) idxs)))
-    (List.rev !order);
-  (* Identity merges (no pair of rows ever collapsed) are common — every
-     µ candidate that the pruning rules over-approximate lands here. The
-     result is then exactly the input: share it physically (which also
-     lets successor dedup confirm duplicates with a pointer check). *)
-  if not !changed then r
-  else
-    let rows' =
-      List.concat_map
-        (fun key ->
-          match Hashtbl.find_opt merged key with
-          | Some rows -> rows
-          | None -> List.map (row_of r) !(Hashtbl.find groups key))
-        (List.rev !order)
-    in
-    of_rows r.atts rows'
-
-let merge r att =
-  let ai = index_of r att in
-  (* The certificate settles most µ candidates without grouping a row. *)
-  if mu_identity r then r else merge_column r ai
+let concat atts chunks =
+  let rec increasing = function
+    | a :: (b :: _ as rest) ->
+        compare_rows (row_of a (a.nrows - 1)) (row_of b 0) < 0
+        && increasing rest
+    | _ -> true
+  in
+  match List.filter (fun c -> c.nrows > 0) chunks with
+  | [] -> of_rows atts []
+  | [ c ] -> c
+  | cs when increasing cs ->
+      (* Canonical chunks whose boundaries increase are canonical end to
+         end: the columns concatenate without building a row. *)
+      fresh atts
+        (Array.mapi
+           (fun j att ->
+             fresh_col att (Array.concat (List.map (fun c -> c.cols.(j).ids) cs)))
+           atts)
+        (List.fold_left (fun n c -> n + c.nrows) 0 cs)
+  | cs -> of_rows atts (List.concat_map to_rows cs)
 
 let slice r ~off ~len =
   if off < 0 || len < 0 || off + len > r.nrows then
@@ -557,6 +527,243 @@ let filter_idx r pred =
   let mask = Array.init r.nrows pred in
   let kept = Array.fold_left (fun n b -> if b then n + 1 else n) 0 mask in
   if kept = r.nrows then r else filter_rows r mask kept
+
+(* ------------------------------------------------------------------ *)
+(* µ: one kernel for a relation and for a relation held as chunks      *)
+
+type map = { map : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
+
+let sequential = { map = List.map }
+
+(* What the kernel learns about a relation held as chunks. A key held by
+   two or more rows is a repeated key; repeated keys are numbered in the
+   order they are first seen (chunk order, then row order). *)
+type mu_plan = {
+  reps : int array array;
+      (* per chunk, per row: its repeated key's number, or -1 when no
+         other row has its key *)
+  lubs : int array array;
+      (* per column, per repeated key: the lub of its rows' cells *)
+  outs : int array list array;
+      (* per repeated key: the fixpoint's rows if a column conflicts (two
+         different non-null ids), else [] *)
+  changed : bool;  (* some pair of rows merged *)
+}
+
+(* A repeated key's merged rows. *)
+let mu_out p r =
+  match p.outs.(r) with
+  | [] -> [ Array.map (fun col -> col.(r)) p.lubs ]
+  | rows -> rows
+
+(* Rows are grouped by the key cell's printed form, exactly
+   Relation.merge's [Value.to_string] Hashtbl key (vstr id equality ⟺
+   string equality), through an int-keyed open-addressing table sized
+   from the row count. The rows of each repeated key then fold column by
+   column into its lub; a column conflicts when it holds two different
+   non-null ids.
+
+   Without a conflict the group's rows are pairwise compatible (equal ids
+   are equal values), a merge of two of them is again compatible with the
+   rest, and so every merge order of the greedy fixpoint ends in the same
+   single row: the lub. With at most one non-null id per column the lub
+   depends neither on the order rows are fed nor on duplicates. Only a
+   conflicting group — including Int 1 against Float 1.0 in one column,
+   equal values under different ids — runs the fixpoint itself, on its
+   deduplicated canonical rows reversed. *)
+let mu_plan map chunks ai =
+  let chunks = Array.of_list chunks in
+  (* Each row's key, overwritten below by its group and then by its
+     repeated-key number. *)
+  let reps =
+    Array.of_list
+      (map.map
+         (fun c -> Array.map Intern.value_str_id c.cols.(ai).ids)
+         (Array.to_list chunks))
+  in
+  let n = Array.fold_left (fun n c -> n + c.nrows) 0 chunks in
+  let cap = ref 8 in
+  while !cap < 2 * n do
+    cap := 2 * !cap
+  done;
+  let mask = !cap - 1 in
+  (* A slot holds [key lsl 31 lor group], or -1; string ids and groups
+     both stay far below 2^31. *)
+  let tab = Array.make !cap (-1) in
+  let groups = Array.make n 0 (* rows per group, then its number *) in
+  let ngroups = ref 0 and nrep = ref 0 in
+  Array.iter
+    (fun ks ->
+      for i = 0 to Array.length ks - 1 do
+        let k = Array.unsafe_get ks i in
+        let s = ref ((k * 0x9E3779B97F4A7C1) lsr 17 land mask) in
+        while tab.(!s) >= 0 && tab.(!s) lsr 31 <> k do
+          s := (!s + 1) land mask
+        done;
+        let g =
+          if tab.(!s) >= 0 then tab.(!s) land 0x7FFF_FFFF
+          else begin
+            let g = !ngroups in
+            incr ngroups;
+            tab.(!s) <- (k lsl 31) lor g;
+            g
+          end
+        in
+        let c = groups.(g) + 1 in
+        groups.(g) <- c;
+        if c = 2 then incr nrep;
+        Array.unsafe_set ks i g
+      done)
+    reps;
+  if !nrep = 0 then None
+  else begin
+    let nrep = !nrep in
+    let r = ref 0 in
+    for g = 0 to !ngroups - 1 do
+      if groups.(g) > 1 then begin
+        groups.(g) <- !r;
+        incr r
+      end
+      else groups.(g) <- -1
+    done;
+    Array.iter
+      (fun ks ->
+        Array.iteri (fun i g -> Array.unsafe_set ks i groups.(g)) ks)
+      reps;
+    let arity = Array.length chunks.(0).cols in
+    let lubs = Array.init arity (fun _ -> Array.make nrep null_id) in
+    (* Columns fold independently; each reports its conflicting keys. *)
+    let conflicted =
+      map.map
+        (fun j ->
+          let lub = lubs.(j) and bad = ref [] in
+          Array.iteri
+            (fun ci c ->
+              let ks = reps.(ci) and src = c.cols.(j).ids in
+              for i = 0 to c.nrows - 1 do
+                let r = Array.unsafe_get ks i in
+                let y = Array.unsafe_get src i in
+                if r >= 0 && y <> null_id then begin
+                  let x = Array.unsafe_get lub r in
+                  if x = null_id then Array.unsafe_set lub r y
+                  else if x <> y then bad := r :: !bad
+                end
+              done)
+            chunks;
+          !bad)
+        (List.init arity Fun.id)
+    in
+    let conflict = Bytes.make nrep '\000' in
+    List.iter (List.iter (fun r -> Bytes.set conflict r '\001')) conflicted;
+    let outs = Array.make nrep [] in
+    if List.exists (( <> ) []) conflicted then
+      (* Consing chunks first to last, rows last to first, leaves each
+         group's rows last chunk first and each chunk's rows in order.
+         sort_uniq keeps one of two Value.compare-equal rows by its
+         position, so this order fixes which id survives; the oracle
+         property in test/mu_oracle.ml pins it. *)
+      Array.iteri
+        (fun ci c ->
+          let ks = reps.(ci) in
+          for i = c.nrows - 1 downto 0 do
+            let r = ks.(i) in
+            if r >= 0 && Bytes.get conflict r <> '\000' then
+              outs.(r) <- row_of c i :: outs.(r)
+          done)
+        chunks;
+    let changed = ref false in
+    for r = 0 to nrep - 1 do
+      if outs.(r) = [] then changed := true
+      else
+        outs.(r) <-
+          merge_group ~changed
+            (List.rev (List.sort_uniq compare_rows outs.(r)))
+    done;
+    Some { reps; lubs; outs; changed = !changed }
+  end
+
+let merge r att =
+  let ai = index_of r att in
+  (* The certificate settles most µ candidates without grouping a row. *)
+  if mu_identity r then r
+  else
+    match mu_plan sequential [ r ] ai with
+    | Some p when p.changed ->
+        (* Keys in first-seen order, a unique key as its row: the row
+           order Relation.merge canonicalizes, so the same representative
+           survives among Value.compare-equal rows. *)
+        let reps = p.reps.(0) in
+        let next = ref 0 and rev_rows = ref [] in
+        for i = 0 to r.nrows - 1 do
+          let k = reps.(i) in
+          if k < 0 then rev_rows := row_of r i :: !rev_rows
+          else if k = !next then begin
+            incr next;
+            rev_rows := List.rev_append (mu_out p k) !rev_rows
+          end
+        done;
+        of_rows r.atts (List.rev !rev_rows)
+    | _ ->
+        (* Identity merges (no pair of rows ever collapsed) are common —
+           every µ candidate that the pruning rules over-approximate
+           lands here. The result is then exactly the input: share it
+           physically (which also lets successor dedup confirm duplicates
+           with a pointer check). *)
+        r
+
+(* Equal-length columns as a relation: shared as they are when their
+   rows already increase strictly (of_rows would return them unchanged),
+   else re-sorted by of_rows. *)
+let of_cols atts cols =
+  let n = Array.length cols.(0) in
+  let rec cmp i j =
+    if j >= Array.length cols then 0
+    else
+      let c = Intern.compare_values cols.(j).(i - 1) cols.(j).(i) in
+      if c <> 0 then c else cmp i (j + 1)
+  in
+  let rec increasing i = i >= n || (cmp i 0 < 0 && increasing (i + 1)) in
+  if increasing 1 then fresh atts (Array.map2 fresh_col atts cols) n
+  else of_rows atts (List.init n (fun i -> Array.map (fun col -> col.(i)) cols))
+
+let merge_chunks map ~chunk_rows chunks att =
+  match chunks with
+  | [] -> []
+  | c0 :: _ -> (
+      match mu_plan map chunks (index_of c0 att) with
+      | None -> chunks
+      | Some p ->
+          let kept =
+            map.map
+              (fun (c, ks) ->
+                if Array.exists (fun k -> k < 0) ks then
+                  [ filter_idx c (fun i -> ks.(i) < 0) ]
+                else [])
+              (List.combine chunks (Array.to_list p.reps))
+          in
+          (* The merged rows in repeated-key order as columns — the lubs
+             themselves when no key conflicts — cut chunk_rows at a
+             time. *)
+          let merged =
+            if Array.for_all (( = ) []) p.outs then p.lubs
+            else
+              let rows =
+                Array.of_list
+                  (List.concat (List.init (Array.length p.outs) (mu_out p)))
+              in
+              Array.init (Array.length p.lubs) (fun j ->
+                  Array.map (fun row -> row.(j)) rows)
+          in
+          let n = Array.length merged.(0) in
+          List.concat kept
+          @ map.map
+              (fun lo ->
+                of_cols c0.atts
+                  (Array.map
+                     (fun col -> Array.sub col lo (min chunk_rows (n - lo)))
+                     merged))
+              (List.init ((n + chunk_rows - 1) / chunk_rows) (fun k ->
+                   k * chunk_rows)))
 
 let take_idx r idxs =
   let n = Array.length idxs in

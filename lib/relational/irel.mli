@@ -84,8 +84,34 @@ val promote : t -> name_col:int -> value_col:int -> t
 val demote : t -> rel_name:int -> att_att:int -> rel_att:int -> t
 val dereference : t -> target:int -> pointer_col:int -> t
 val merge : t -> int -> t
-(** Returns its input physically when µ changes nothing — at once when
-    {!mu_identity} holds, otherwise after grouping the rows. *)
+(** µ on one column, as {!Relation.merge}: rows are grouped by the key
+    cell's printed form, and each group is reduced by the greedy pairwise
+    fixpoint that replaces a compatible pair (agreeing on every non-null
+    position) by its least upper bound. Runs the kernel of
+    {!merge_chunks} on one chunk, so a group whose columns each hold at
+    most one non-null value id becomes its lub row directly, and only a
+    conflicting group runs the fixpoint. Returns its input physically
+    when µ changes nothing — at once when {!mu_identity} holds,
+    otherwise after grouping the rows. *)
+
+type map = { map : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
+(** An order-preserving list map, e.g. a pool's [map_list]. *)
+
+val sequential : map
+(** [List.map]. *)
+
+val merge_chunks : map -> chunk_rows:int -> t list -> int -> t list
+(** [merge_chunks map ~chunk_rows chunks att]: µ on [att] over one
+    relation held as canonical [chunks] with the same attributes, which
+    may repeat rows across chunks. A key's rows are grouped across all
+    chunks. The result is the chunks filtered to their rows with a
+    unique key (shared physically where every key is unique), then the
+    merged rows of the repeated keys in first-seen key order, in chunks
+    of at most [chunk_rows]. Its rows, deduplicated, are exactly
+    {!merge} of the chunks' union, up to which of two
+    {!Value.compare}-equal rows with different ids is kept. Returns
+    [chunks] physically when no key repeats. [map] runs the per-chunk
+    key, filter and sort passes. *)
 
 val partition : t -> int -> (int * t) list
 (** {!Relation.partition}: (key value id, group) pairs, one per
@@ -122,13 +148,11 @@ val take_idx : t -> int array -> t
     @raise Invalid_argument unless indices are strictly increasing and in
     range. *)
 
-val merge_rows : int array list -> int array list
-(** The µ in-group greedy fixpoint on bare rows: repeatedly replace a
-    compatible pair (agreeing on every non-null position) by its least
-    upper bound until none merges. Callers must feed rows in the boxed
-    [Relation.merge] group order — canonical rows, reversed — to reach
-    the same fixpoint; the chunked bulk executor uses this to merge
-    groups reassembled across chunk boundaries. *)
+val concat : int array -> t list -> t
+(** [concat atts chunks]: the canonical union of canonical chunks with
+    attributes [atts]. When each non-empty chunk's last row precedes the
+    next one's first, the columns are concatenated as they are;
+    otherwise the rows are re-sorted, as {!of_rows} does. *)
 
 val slice : t -> off:int -> len:int -> t
 (** [slice r ~off ~len]: rows [off, off+len) as a relation — a contiguous

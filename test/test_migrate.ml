@@ -156,7 +156,16 @@ let test_ingest_errors () =
         "migrate: relation \"R\": empty attribute name"
         (match Migrate.ingest_channel cfg Migrate.Cdb.empty ~name:"R" ic with
         | exception Migrate.Error msg -> msg
-        | _ -> "accepted"))
+        | _ -> "accepted"));
+  (* A second relation under a bound name is refused, not swapped in. *)
+  with_temp_csv "a\n1\n" (fun _ ic ->
+      let cdb = Migrate.ingest_channel cfg Migrate.Cdb.empty ~name:"R" ic in
+      with_temp_csv "a\n2\n" (fun _ ic ->
+          Alcotest.(check string) "duplicate relation name"
+            "migrate: relation \"R\": duplicate relation name"
+            (match Migrate.ingest_channel cfg cdb ~name:"R" ic with
+            | exception Migrate.Error msg -> msg
+            | _ -> "accepted")))
 
 let test_emit_roundtrip () =
   (* emit_channel then parse_relation recovers the relation (modulo the
@@ -317,6 +326,124 @@ let test_partition_group_names () =
         (names_of_idb got))
     [ 1; 64 ]
 
+(* --- µ kernel pinned cases ---
+
+   Each case holds typed rows split into chunks. µ on the key runs
+   sequentially (Irel.merge over the chunks' union) and chunked (the
+   chunks joined by ∪, then merge[k]); both must give the expected rows
+   id for id, as must the former µ (Mu_oracle) and the boxed
+   Relation.merge. [chunked] overrides the expectation of the two chunked
+   runs, which keep unique-key rows ahead of merged ones. *)
+
+let mu_case ?(chunk_rows = 2) ?chunked what header chunks key expected =
+  let atts = Array.of_list (List.map Intern.string_id header) in
+  let ids rows = List.map (fun r -> Array.of_list (List.map Intern.value_id r)) rows in
+  let chunks = List.map (fun rows -> Irel.of_rows atts (ids rows)) chunks in
+  let whole = Irel.of_rows atts (List.concat_map Irel.to_rows chunks) in
+  let key = Intern.string_id key in
+  let want = Irel.of_rows atts (ids expected) in
+  let want_chunked =
+    Irel.of_rows atts (ids (Option.value chunked ~default:expected))
+  in
+  let check ?(want = want) path got =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %s µ" what path)
+      true (Mu_oracle.same_ids got want)
+  in
+  check "sequential" (Irel.merge whole key);
+  check "former sequential" (Mu_oracle.merge whole key);
+  check "boxed"
+    (Irel.of_relation
+       (Relation.merge (Irel.to_relation whole) (Intern.string_of_id key)));
+  List.iter
+    (fun jobs ->
+      check ~want:want_chunked (Printf.sprintf "chunked (jobs %d)" jobs)
+        (Mu_oracle.migrate ~chunk_rows ~jobs chunks key))
+    [ 1; 2 ];
+  check ~want:want_chunked "former chunked"
+    (Mu_oracle.coalesce atts
+       (Mu_oracle.chunked ~order:`Hash ~chunk_rows chunks key));
+  whole
+
+let test_mu_kernel_pinned () =
+  let open Value in
+  (* Each key's rows are compatible across chunks: their lubs. x is first
+     seen before w, so the one batch of lubs is out of order and must be
+     sorted. *)
+  ignore
+    (mu_case "all-compatible groups over 3 chunks" [ "k"; "a"; "b"; "c" ]
+       [
+         [ [ String "x"; Int 1; Null; Null ] ];
+         [ [ String "w"; Int 3; Null; Null ]; [ String "x"; Null; String "p"; Null ] ];
+         [ [ String "w"; Null; String "q"; Null ]; [ String "x"; Null; Null; Float 2.5 ] ];
+       ]
+       "k"
+       [
+         [ String "w"; Int 3; String "q"; Null ];
+         [ String "x"; Int 1; String "p"; Float 2.5 ];
+       ]);
+  (* "a" against "b" in v: the fixpoint, fed (x,b,-) (x,a,-) (x,-,c),
+     merges (x,b,-) with (x,-,c) and leaves (x,a,-). *)
+  ignore
+    (mu_case "a/b conflict" [ "k"; "v"; "w" ]
+       [
+         [ [ String "x"; String "a"; Null ] ];
+         [ [ String "x"; String "b"; Null ]; [ String "x"; Null; String "c" ] ];
+       ]
+       "k"
+       [ [ String "x"; String "a"; Null ]; [ String "x"; String "b"; String "c" ] ]);
+  (* Int 1 and Float 1.0 are equal values with different ids: the column
+     conflicts, the fixpoint runs, and its representative is Float 1.0
+     (the first row it is fed) where a first-non-null fold would keep
+     Int 1. *)
+  ignore
+    (mu_case ~chunk_rows:1 "Int 1 / Float 1.0 in one column" [ "k"; "v"; "w" ]
+       [ [ [ String "x"; Int 1; Null ] ]; [ [ String "x"; Float 1.0; String "c" ] ] ]
+       "k"
+       [ [ String "x"; Float 1.0; String "c" ] ]);
+  (* Int 1 and String "1" print alike, so they are one group, but they
+     are not equal values: nothing merges and µ returns its input. The
+     Float 1.0 row defeats the µ-identity certificate, so the kernel
+     really runs. *)
+  let rows =
+    [
+      [ Int 1; Null; String "z" ]; [ String "1"; Null; String "z" ];
+      [ Float 1.0; String "q"; String "z" ];
+    ]
+  in
+  let whole =
+    mu_case "Int 1 / String \"1\" keys" [ "k"; "v"; "w" ]
+      [ [ List.nth rows 0; List.nth rows 2 ]; [ List.nth rows 1 ] ]
+      "k" rows
+  in
+  Alcotest.(check bool) "Int 1 / String \"1\" keys: no certificate" false
+    (Irel.mu_identity whole);
+  Alcotest.(check bool) "Int 1 / String \"1\" keys: input returned" true
+    (Irel.merge whole (Intern.string_id "k") == whole);
+  (* A merged row equal, under Value.compare, to a unique key's row: the
+     first-seen group order decides which survives, as in the boxed µ.
+     Chunked, the unique row's chunk comes first and its row survives. *)
+  ignore
+    (mu_case "merged row meets a unique row" [ "k"; "v"; "w" ]
+       ~chunked:[ [ Float 1.0; String "a"; String "b" ] ]
+       [
+         [ [ Int 1; Null; String "b" ]; [ Int 1; String "a"; Null ] ];
+         [ [ Float 1.0; String "a"; String "b" ] ];
+       ]
+       "k"
+       [ [ Int 1; String "a"; String "b" ] ]);
+  (* Every key unique, with no certificate (v is null-free but not
+     injective, k holds a null): both paths return their input. *)
+  let atts = [| Intern.string_id "k"; Intern.string_id "v" |] in
+  let chunk row = Irel.of_rows atts [ Array.of_list (List.map Intern.value_id row) ] in
+  let chunks = [ chunk [ String "a"; String "x" ]; chunk [ Null; String "x" ] ] in
+  let whole = Irel.of_rows atts (List.concat_map Irel.to_rows chunks) in
+  Alcotest.(check bool) "all-unique: no certificate" false (Irel.mu_identity whole);
+  Alcotest.(check bool) "all-unique: sequential returns its input" true
+    (Irel.merge whole atts.(0) == whole);
+  Alcotest.(check bool) "all-unique: chunked returns its input" true
+    (Irel.merge_chunks Irel.sequential ~chunk_rows:1 chunks atts.(0) == chunks)
+
 let suite =
   [
     Alcotest.test_case "chunked = sequential (500 seeds)" `Slow
@@ -334,4 +461,5 @@ let suite =
     prop_one_applicability_check;
     Alcotest.test_case "℘ group names (Int 1 / Float 1.0)" `Quick
       test_partition_group_names;
+    Alcotest.test_case "µ kernel pinned cases" `Quick test_mu_kernel_pinned;
   ]
