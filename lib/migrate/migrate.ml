@@ -33,6 +33,13 @@
    - ⋈ (join, never emitted by discovery): coalesce and delegate to the
      boxed implementation, like the search path does.
 
+   Ingest is columnar too: the CSV tokenizer's field slices go straight
+   into the current chunk's id columns, through a cell → id memo that
+   lives for one ingest, and each full chunk is canonicalized by
+   Irel.of_cols. A cell the memo misses is guessed and interned there
+   and then, in row-major order, so value ids are issued as they would
+   be without the memo.
+
    Equivalence caveat (documented in DESIGN.md): when Value.compare-equal
    but structurally distinct values collide (Int 1 vs Float 1.0), the
    surviving representative under chunked dedup/regroup may differ from
@@ -71,6 +78,7 @@ module Cdb = struct
   let names t = List.map fst t
   let mem t name = List.mem_assoc name t
   let find_opt t name = List.assoc_opt name t
+  let chunks t name = (List.assoc name t).cchunks
   let crel_rows r = List.fold_left (fun n c -> n + Irel.cardinality c) 0 r.cchunks
   let rows t = List.fold_left (fun n (_, r) -> n + crel_rows r) 0 t
 
@@ -467,59 +475,151 @@ let run_idb ?registry cfg expr idb =
 (* ------------------------------------------------------------------ *)
 (* Streaming CSV                                                       *)
 
+(* Cell bytes → value id, for one ingest: an open-addressing table of
+   [tag lsl 31 lor id] slots (-1 empty), kept at most half full, where the
+   tag is 31 bits of the bytes' hash. It holds no key strings: a slot
+   matches only when the bytes equal the id's printed form, and a cell is
+   entered only when its bytes are that printed form ("950", "abc"; not
+   "007", "1e3" or "NULL"), so a hit is the id the cell guesses to. *)
+type cell_memo = { mutable slots : int array; mutable used : int }
+
+let rec cell_hash s i stop h =
+  if i >= stop then h lsr 32 land 0x7FFF_FFFF
+  else
+    cell_hash s (i + 1) stop
+      ((h lxor Char.code (String.unsafe_get s i)) * 0x100000001b3)
+
+let cell_slot slots tag =
+  (tag * 0x9E3779B97F4A7C1) lsr 17 land (Array.length slots - 1)
+
+let rec same_bytes s off len p i =
+  i >= len
+  || String.unsafe_get s (off + i) = String.unsafe_get p i
+     && same_bytes s off len p (i + 1)
+
+let printed_is s off len id =
+  let p = Intern.string_of_id (Intern.value_str_id id) in
+  String.length p = len && same_bytes s off len p 0
+
+let rec cell_probe m s off len tag i =
+  let x = Array.unsafe_get m.slots i in
+  if x < 0 then -1
+  else if x lsr 31 = tag && printed_is s off len (x land 0x7FFF_FFFF) then
+    x land 0x7FFF_FFFF
+  else cell_probe m s off len tag ((i + 1) land (Array.length m.slots - 1))
+
+let rec place slots x i =
+  if slots.(i) < 0 then slots.(i) <- x
+  else place slots x ((i + 1) land (Array.length slots - 1))
+
+let cell_place slots x = place slots x (cell_slot slots (x lsr 31))
+
+(* A miss guesses and interns exactly as Csv.parse_relation's cells do,
+   so ids are issued in the same order as without the memo. *)
+let cell_id m s off len =
+  if len = 0 then Intern.null_value_id
+  else
+    let tag = cell_hash s off (off + len) 0x811c9dc5 in
+    let id = cell_probe m s off len tag (cell_slot m.slots tag) in
+    if id >= 0 then id
+    else begin
+      let id = Intern.value_id (Value.of_string_guess (String.sub s off len)) in
+      if printed_is s off len id then begin
+        if 2 * (m.used + 1) > Array.length m.slots then begin
+          let bigger = Array.make (2 * Array.length m.slots) (-1) in
+          Array.iter (fun x -> if x >= 0 then cell_place bigger x) m.slots;
+          m.slots <- bigger
+        end;
+        cell_place m.slots ((tag lsl 31) lor id);
+        m.used <- m.used + 1
+      end;
+      id
+    end
+
 let ingest_channel cfg cdb ~name ic =
   if Cdb.mem cdb (Intern.string_id name) then
     error "migrate: relation %S: duplicate relation name" name;
   let tel = cfg.telemetry in
-  let atts = ref [||] in
-  let width = ref 0 in
-  let have_header = ref false in
-  let pending = ref [] in
-  let npending = ref 0 in
+  let memo = { slots = Array.make 1024 (-1); used = 0 } in
+  let header = ref [] and atts = ref [||] and have_header = ref false in
+  (* The current chunk: [n] rows written into [cols], which hold [cap]
+     rows and double up to chunk_rows; [col] is the next field's column.
+     Every cell starts null, so a short row is already padded. *)
+  let cols = ref [||] and cap = ref 0 and n = ref 0 and col = ref 0 in
   let chunks = ref [] in
   let flush () =
-    if !npending > 0 then begin
+    if !n > 0 then begin
       if cfg.stop () then raise Cancelled;
-      Telemetry.count tel "migrate.ingest.rows" !npending;
-      chunks := Irel.of_rows !atts (List.rev !pending) :: !chunks;
-      pending := [];
-      npending := 0
+      Telemetry.count tel "migrate.ingest.rows" !n;
+      chunks := Irel.of_cols !atts !cols !n :: !chunks;
+      n := 0
     end
   in
-  Csv.fold_channel
-    (fun () fields ->
-      if not !have_header then begin
-        let seen = Hashtbl.create 16 in
-        let ids =
-          List.map
-            (fun a ->
-              if a = "" then
-                error "migrate: relation %S: empty attribute name" name;
-              let s = Intern.string_id a in
-              if Hashtbl.mem seen s then
-                error "migrate: relation %S: duplicate attribute %S" name a;
-              Hashtbl.add seen s ();
-              s)
-            fields
-        in
-        atts := Array.of_list ids;
-        width := Array.length !atts;
-        have_header := true
-      end
-      else begin
-        (* Short rows pad with nulls, long rows truncate, cells parsed
-           with Value.of_string_guess — exactly Csv.parse_relation. *)
-        let row = Array.make !width Intern.null_value_id in
-        List.iteri
-          (fun i s ->
-            if i < !width then
-              row.(i) <- Intern.value_id (Value.of_string_guess s))
-          fields;
-        pending := row :: !pending;
-        incr npending;
-        if !npending >= cfg.chunk_rows then flush ()
-      end)
-    () ic;
+  (* Room for row [n]; a new chunk gets fresh columns, as a chunk may
+     share them. *)
+  let room () =
+    if !n = 0 then begin
+      if !cap = 0 then cap := min cfg.chunk_rows 256;
+      cols := Array.map (fun _ -> Array.make !cap Intern.null_value_id) !atts
+    end
+    else if !n = !cap then begin
+      cap := min cfg.chunk_rows (2 * !cap);
+      cols :=
+        Array.map
+          (fun c ->
+            let c' = Array.make !cap Intern.null_value_id in
+            Array.blit c 0 c' 0 !n;
+            c')
+          !cols
+    end
+  in
+  let on_field s off len =
+    if not !have_header then header := String.sub s off len :: !header
+    else begin
+      let j = !col in
+      if j = 0 then room ();
+      (* A long row's extra cells are dropped, as Csv.parse_relation
+         drops them. *)
+      if j < Array.length !atts then
+        Array.unsafe_set (Array.unsafe_get !cols j) !n (cell_id memo s off len);
+      col := j + 1
+    end
+  in
+  let on_row_end () =
+    if not !have_header then begin
+      let seen = Hashtbl.create 16 in
+      let ids =
+        List.map
+          (fun a ->
+            if a = "" then
+              error "migrate: relation %S: empty attribute name" name;
+            let s = Intern.string_id a in
+            if Hashtbl.mem seen s then
+              error "migrate: relation %S: duplicate attribute %S" name a;
+            Hashtbl.add seen s ();
+            s)
+          (List.rev !header)
+      in
+      atts := Array.of_list ids;
+      have_header := true
+    end
+    else begin
+      col := 0;
+      incr n;
+      if !n >= cfg.chunk_rows then flush ()
+    end
+  in
+  let st = Csv.Stream.create_fields ~on_field ~on_row_end () in
+  let buf = Bytes.create 65536 in
+  let rec loop () =
+    let k = input ic buf 0 (Bytes.length buf) in
+    if k > 0 then begin
+      Csv.Stream.feed st (Bytes.unsafe_to_string buf) ~len:k;
+      loop ()
+    end
+  in
+  loop ();
+  Csv.Stream.finish st;
   flush ();
   if not !have_header then error "migrate: relation %S: empty document" name;
   Cdb.add cdb (Intern.string_id name) (Cdb.crel !atts (List.rev !chunks))

@@ -57,6 +57,10 @@ module Cdb : sig
   val cells : t -> int
   val chunk_count : t -> int
 
+  val chunks : t -> int -> Irel.t list
+  (** The chunks bound to a relation-name id, in order; a rowless
+      relation has one empty chunk. @raise Not_found when unbound. *)
+
   val of_idb : chunk_rows:int -> Idb.t -> t
   (** Slice each relation into chunks of at most [chunk_rows] rows. *)
 
@@ -127,11 +131,20 @@ val run_idb :
 (** {1 Streaming CSV} *)
 
 val ingest_channel : config -> Cdb.t -> name:string -> in_channel -> Cdb.t
-(** Read one relation (header then data rows) to EOF, interning cells
-    chunk by chunk through {!Csv.fold_channel} — no boxed rows, no
-    whole-document string. Short rows are padded with nulls, long rows
-    truncated, cells parsed with {!Value.of_string_guess} (all exactly
-    as {!Csv.parse_relation}). Emits [migrate.ingest.rows] telemetry.
+(** Read one relation (header then data rows) to EOF through the field
+    slices of {!Csv.Stream.create_fields}, writing each cell's value id
+    straight into the current chunk's columns — no row lists, no boxed
+    rows, no whole-document string. Each chunk of at most [chunk_rows]
+    rows is canonicalized by {!Irel.of_cols}; its columns start small
+    and double up to [chunk_rows]. Short rows are padded with nulls, long
+    rows truncated, cells parsed with {!Value.of_string_guess} (all
+    exactly as {!Csv.parse_relation}). A memo local to the ingest maps
+    a cell's bytes to its value id when the bytes are the value's
+    printed form; any other cell ("007", "1e3", "NULL") is guessed every
+    time. A miss interns the cell there and then, so value ids are
+    issued in row-major first-seen order, exactly as without the memo,
+    and the chunks are id for id those of the row-list ingest. Emits
+    [migrate.ingest.rows] telemetry.
     @raise Error when [cdb] already binds [name], and on an empty
     document, an empty attribute name or a duplicate header attribute.
     @raise Cancelled when [stop] fires between chunks. *)

@@ -3,9 +3,8 @@
    The search hot path (Irel/Idb, Moves, Heuristics) works over dense int
    ids instead of boxed strings and values: id equality is string (resp.
    structural value) equality, and every per-string derived quantity the
-   fingerprint needs — the FNV state, the attribute cell prefix, the
-   element lanes — is computed once at interning time and then read with
-   plain array loads.
+   fingerprint needs — the attribute cell prefix, the element lanes — is
+   computed once at interning time and then read with plain array loads.
 
    Domain safety. Inserts take a global mutex; lookups, by id or by key,
    take none. A pool is an entry array plus an open-addressing index, a
@@ -32,7 +31,6 @@
 
 type str_entry = {
   str : string;
-  fnv : int64;  (* fnv1a64 str *)
   prefix : int64;  (* FNV state of [str '\x1f'] — the cell hash prefix *)
   ea : int64;
   eb : int64;  (* Fingerprint element lanes of [str] *)
@@ -65,7 +63,6 @@ let mutex = Mutex.create ()
 let dummy_str =
   {
     str = "";
-    fnv = 0L;
     prefix = 0L;
     ea = 0L;
     eb = 0L;
@@ -203,7 +200,7 @@ let new_str_entry s =
   let fnv = Fingerprint.Hashing.fnv1a64 s in
   let prefix = Fingerprint.Hashing.fnv_char fnv '\x1f' in
   let ea, eb = Fingerprint.Hashing.lanes fnv in
-  { str = s; fnv; prefix; ea; eb; as_value = -1; cell_ea = [||] }
+  { str = s; prefix; ea; eb; as_value = -1; cell_ea = [||] }
 
 let new_val_entry v =
   {
@@ -218,7 +215,6 @@ let value_id v = Values.intern new_val_entry v
 let str_entry id = (Atomic.get Strings.entries).(id)
 let val_entry id = (Atomic.get Values.entries).(id)
 let string_of_id id = (str_entry id).str
-let string_fnv id = (str_entry id).fnv
 let string_prefix id = (str_entry id).prefix
 
 let string_lanes id =

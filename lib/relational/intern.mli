@@ -29,9 +29,6 @@
 val string_id : string -> int
 val string_of_id : int -> string
 
-val string_fnv : int -> int64
-(** Cached [Fingerprint.Hashing.fnv1a64] of the string. *)
-
 val string_prefix : int -> int64
 (** Cached FNV state of [str '\x1f'] — the per-attribute cell-hash prefix
     of {!Fingerprint.of_relation}. *)

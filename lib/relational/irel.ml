@@ -711,20 +711,66 @@ let merge r att =
            with a pointer check). *)
         r
 
-(* Equal-length columns as a relation: shared as they are when their
-   rows already increase strictly (of_rows would return them unchanged),
-   else re-sorted by of_rows. *)
-let of_cols atts cols =
-  let n = Array.length cols.(0) in
-  let rec cmp i j =
-    if j >= Array.length cols then 0
+(* The first [n] rows of [cols] as a relation, exactly [of_rows] of those
+   rows in index order. Rows that already increase strictly are shared as
+   they are. Otherwise an index permutation is sorted in [compare_rows]'
+   order, repeats are dropped and the columns gathered — exact whenever
+   every run of compare-equal rows is id-identical, since then it does not
+   matter which of them sort_uniq keeps. A run that mixes ids (Int 1 and
+   Float 1.0, 0.0 and -0.0) is left to of_rows itself, whose survivor
+   depends on the input positions. *)
+let of_cols atts cols n =
+  let arity = Array.length atts in
+  if Array.length cols <> arity || n < 0
+     || Array.exists (fun col -> Array.length col < n) cols
+  then invalid_arg "Irel.of_cols: bad columns";
+  let rec cmp i i' j =
+    if j >= arity then 0
     else
-      let c = Intern.compare_values cols.(j).(i - 1) cols.(j).(i) in
-      if c <> 0 then c else cmp i (j + 1)
+      let col = Array.unsafe_get cols j in
+      let c =
+        Intern.compare_values (Array.unsafe_get col i) (Array.unsafe_get col i')
+      in
+      if c <> 0 then c else cmp i i' (j + 1)
   in
-  let rec increasing i = i >= n || (cmp i 0 < 0 && increasing (i + 1)) in
-  if increasing 1 then fresh atts (Array.map2 fresh_col atts cols) n
-  else of_rows atts (List.init n (fun i -> Array.map (fun col -> col.(i)) cols))
+  let rec same_ids i i' j =
+    j >= arity
+    || (let col = Array.unsafe_get cols j in
+        Array.unsafe_get col i = Array.unsafe_get col i')
+       && same_ids i i' (j + 1)
+  in
+  let rec increasing i = i >= n || (cmp (i - 1) i 0 < 0 && increasing (i + 1)) in
+  if increasing 1 then
+    let cut col = if Array.length col = n then col else Array.sub col 0 n in
+    fresh atts (Array.map2 (fun att col -> fresh_col att (cut col)) atts cols) n
+  else begin
+    let perm = Array.init n Fun.id in
+    Array.stable_sort (fun i i' -> cmp i i' 0) perm;
+    (* Keep the first of each run; a mixed run ends the fast path. *)
+    let keep = Array.make n 0 and kept = ref 0 and exact = ref true in
+    Array.iter
+      (fun i ->
+        if !kept = 0 then begin
+          keep.(0) <- i;
+          kept := 1
+        end
+        else
+          let last = keep.(!kept - 1) in
+          if cmp last i 0 <> 0 then begin
+            keep.(!kept) <- i;
+            incr kept
+          end
+          else if not (same_ids last i 0) then exact := false)
+      perm;
+    if !exact then
+      let keep = Array.sub keep 0 !kept in
+      fresh atts
+        (Array.map2
+           (fun att col -> fresh_col att (Array.map (Array.get col) keep))
+           atts cols)
+        !kept
+    else of_rows atts (List.init n (fun i -> Array.map (fun col -> col.(i)) cols))
+  end
 
 let merge_chunks map ~chunk_rows chunks att =
   match chunks with
@@ -758,10 +804,10 @@ let merge_chunks map ~chunk_rows chunks att =
           List.concat kept
           @ map.map
               (fun lo ->
+                let len = min chunk_rows (n - lo) in
                 of_cols c0.atts
-                  (Array.map
-                     (fun col -> Array.sub col lo (min chunk_rows (n - lo)))
-                     merged))
+                  (Array.map (fun col -> Array.sub col lo len) merged)
+                  len)
               (List.init ((n + chunk_rows - 1) / chunk_rows) (fun k ->
                    k * chunk_rows)))
 

@@ -20,6 +20,21 @@ val of_rows : int array -> int array list -> t
 (** [of_rows atts rows]: attribute name ids plus one value-id array per
     row; rows are canonicalized (sorted, deduplicated). *)
 
+val of_cols : int array -> int array array -> int -> t
+(** [of_cols atts cols n]: the first [n] rows of the columns [cols] (one
+    value-id array per attribute, each at least [n] long), exactly
+    [of_rows atts] of those rows in index order, id for id. Rows that
+    already increase strictly share the columns (when they are [n] long).
+    Otherwise an index permutation is sorted, repeats are dropped and the
+    columns gathered, with no row array built. That is exact only when
+    every run of compare-equal rows is id-identical: [List.sort_uniq]
+    does not keep the first of equal rows (of three equal rows it can
+    keep the middle one), so a run that mixes ids ([Int 0] / [Float 0.0]
+    / [Float (-0.0)]) falls back to [of_rows] on the rows in index order.
+    The columns are not mutated; do not mutate them afterwards.
+    @raise Invalid_argument on a column count other than [atts]' or a
+    column shorter than [n]. *)
+
 val of_relation : Relation.t -> t
 val to_relation : t -> Relation.t
 

@@ -12,7 +12,6 @@ let () =
       ("csv", Test_csv.suite);
       ("sql", Test_sql.suite);
       ("aggregate", Test_aggregate.suite);
-      ("optimizer", Test_optimizer.suite);
       ("tnf", Test_tnf.suite);
       ("fira", Test_fira.suite);
       ("search", Test_search.suite);
