@@ -235,10 +235,10 @@ let run_fingerprint ~registry ~target ~budget alg source =
       Heuristics.Memo.create ()
     in
     (* Incremental cosine scoring, as production [Discover] wires it:
-       dot/norm parts folded along the parent chain, no profile
-       materialization per scored state. Bit-identical to [estimate] on
-       the materialized profile. *)
-    let tvec = Heuristics.Profile.vector target_profile in
+       dot/norm parts folded along the parent chain from column
+       histograms, no profile materialization per scored state.
+       Bit-identical to [estimate] on the materialized profile. *)
+    let target = Heuristics.Profile.cosine_target target_profile in
     let k =
       match heuristic.Heuristics.Heuristic.cosine_k with
       | Some k -> k
@@ -248,7 +248,7 @@ let run_fingerprint ~registry ~target ~budget alg source =
       Heuristics.Memo.find_or_add memo (Tupelo.State.fingerprint state)
         (fun _ ->
           Heuristics.Heuristic.cosine_scaled ~k
-            (Tupelo.State.cosine_distance ~tvec state))
+            (Tupelo.State.cosine_distance ~target state))
     in
     let root = Tupelo.State.of_database source in
     let result =

@@ -105,9 +105,10 @@ let irel_triples name rel =
      identity fast paths all share untouched columns physically) — a
      column present on both sides under the same relation name contributes
      identical triples to both, so it is skipped wholesale;
-   - the surviving cells are netted per component first (one hashtable
-     pass), so each distinct REL/ATT/VALUE key and each distinct vector
-     triple pays exactly one map update however many cells mention it. *)
+   - the surviving cells are netted per component first (from each
+     column's cached histogram), so each distinct REL/ATT/VALUE key and
+     each distinct vector triple pays exactly one map update however many
+     cells mention it. *)
 let col_shared name att ids side =
   List.exists
     (fun (name', r') ->
@@ -133,32 +134,23 @@ let apply_idelta p ~removed ~added =
   in
   let scan sign other (name, rel) =
     let atts = Irel.atts rel in
-    let n = Irel.cardinality rel in
     for j = 0 to Array.length atts - 1 do
       let att = atts.(j) in
-      let ids = Irel.col_ids rel j in
-      if not (col_shared name att ids other) then begin
-        (* Net the column's value ids locally first: a column with few
-           distinct values (the shape × and ↓ produce) pays per distinct
-           value, not per cell, and the REL/ATT keys pay once. *)
-        let local : (int, int ref) Hashtbl.t = Hashtbl.create 16 in
-        let nonnull = ref 0 in
-        for i = 0 to n - 1 do
-          let vid = Array.unsafe_get ids i in
-          if not (Intern.value_is_null vid) then begin
-            nonnull := !nonnull + 1;
-            bump local vid 1
-          end
-        done;
-        if !nonnull > 0 then begin
-          bump rel_net name (sign * !nonnull);
-          bump att_net att (sign * !nonnull);
-          Hashtbl.iter
-            (fun vid c ->
-              let v = Intern.value_str_id vid in
-              bump val_net v (sign * !c);
-              bump vec_net (name, att, v) (sign * !c))
-            local
+      if not (col_shared name att (Irel.col_ids rel j) other) then begin
+        (* The column's cached histogram has its cells netted already: a
+           column with few distinct values (the shape × and ↓ produce)
+           pays per distinct value, and the REL/ATT keys pay once. *)
+        let h = Irel.histogram rel j in
+        let nonnull = Array.fold_left ( + ) 0 h.Irel.counts in
+        if nonnull > 0 then begin
+          bump rel_net name (sign * nonnull);
+          bump att_net att (sign * nonnull);
+          Array.iteri
+            (fun k v ->
+              let c = sign * h.Irel.counts.(k) in
+              bump val_net v c;
+              bump vec_net (name, att, v) c)
+            h.Irel.strs
         end
       end
     done
@@ -198,43 +190,98 @@ let apply_idelta p ~removed ~added =
     vector;
   }
 
-(* Cosine-scoring delta: net the unshared cells of an interned delta and
-   return the exact changes to ⟨·, target⟩ and to the squared norm. Both
-   are integers — every dot addend is a product of integer counts and
-   (c+n)² − c² = n(2c+n) is integer algebra — so a score folded over a
-   chain of deltas is bit-identical to one recomputed from the child's
-   materialized vector, and the search order cannot diverge. *)
-let idelta_cosine ~tvec ~parent ~removed ~added =
-  let vec_net : (int * int * int, int ref) Hashtbl.t = Hashtbl.create 64 in
+(* The cosine target index: the target vector's coordinates grouped by
+   (REL, ATT) into histograms shaped like [Irel.histogram] — value-string
+   ids ascending, with their counts — sorted by (REL, ATT) for binary
+   search, plus the target's squared norm. *)
+type tcol = { trel : int; tatt : int; tstrs : int array; tcounts : int array }
+type target = { tvec : Vector.t; tsq : int; tcols : tcol array }
+
+let cosine_target p =
+  (* [fold_id] visits coordinates in ascending (rel, att, value) order, so
+     each (rel, att) group is contiguous and its values ascend. *)
+  let groups =
+    Vector.fold_id
+      (fun (r, a, v) c acc ->
+        match acc with
+        | (r', a', vs, cs) :: rest when r = r' && a = a' ->
+            (r, a, v :: vs, c :: cs) :: rest
+        | _ -> (r, a, [ v ], [ c ]) :: acc)
+      p.vector []
+  in
+  let tcols =
+    Array.of_list
+      (List.rev_map
+         (fun (trel, tatt, vs, cs) ->
+           {
+             trel;
+             tatt;
+             tstrs = Array.of_list (List.rev vs);
+             tcounts = Array.of_list (List.rev cs);
+           })
+         groups)
+  in
+  { tvec = p.vector; tsq = Vector.sq_norm p.vector; tcols }
+
+let target_vector t = t.tvec
+let target_sq_norm t = t.tsq
+
+(* Index of the target's (rel, att) histogram, or -1. *)
+let find_tcol t rel att =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      let c = t.tcols.(mid) in
+      let d =
+        if c.trel <> rel then Int.compare rel c.trel
+        else Int.compare att c.tatt
+      in
+      if d = 0 then mid else if d < 0 then go lo mid else go (mid + 1) hi
+  in
+  go 0 (Array.length t.tcols)
+
+(* Σ c·t over the ids two ascending histograms share. *)
+let merge_dot strs counts tstrs tcounts =
+  let n = Array.length strs and m = Array.length tstrs in
+  let rec go i k acc =
+    if i >= n || k >= m then acc
+    else
+      let x = Array.unsafe_get strs i and y = Array.unsafe_get tstrs k in
+      if x < y then go (i + 1) k acc
+      else if x > y then go i (k + 1) acc
+      else
+        go (i + 1) (k + 1)
+          (acc + (Array.unsafe_get counts i * Array.unsafe_get tcounts k))
+  in
+  go 0 0 0
+
+(* A relation name occurs at most once on each side, so a triple's count
+   in the parent is its count r in the removed version of its column, and
+   the per-triple norm change n(2r + n), n = a − r, is a² − r²: summed,
+   Σc² of the added columns minus Σc² of the removed ones. Columns that
+   both versions share physically cancel and are skipped. *)
+let idelta_cosine ~target ~removed ~added =
+  let ddot = ref 0 and dsq = ref 0 in
   let scan sign other (name, rel) =
     let atts = Irel.atts rel in
-    let n = Irel.cardinality rel in
     for j = 0 to Array.length atts - 1 do
       let att = atts.(j) in
-      let ids = Irel.col_ids rel j in
-      if not (col_shared name att ids other) then
-        for i = 0 to n - 1 do
-          let vid = Array.unsafe_get ids i in
-          if not (Intern.value_is_null vid) then begin
-            let key = (name, att, Intern.value_str_id vid) in
-            match Hashtbl.find_opt vec_net key with
-            | Some c -> c := !c + sign
-            | None -> Hashtbl.add vec_net key (ref sign)
-          end
-        done
+      if not (col_shared name att (Irel.col_ids rel j) other) then begin
+        let h = Irel.histogram rel j in
+        dsq := !dsq + (sign * h.Irel.sq);
+        let k = find_tcol target name att in
+        if k >= 0 then
+          let tc = target.tcols.(k) in
+          ddot :=
+            !ddot
+            + (sign * merge_dot h.Irel.strs h.Irel.counts tc.tstrs tc.tcounts)
+      end
     done
   in
   List.iter (scan (-1) added) removed;
   List.iter (scan 1 removed) added;
-  Hashtbl.fold
-    (fun key c (ddot, dsq) ->
-      let n = !c in
-      if n = 0 then (ddot, dsq)
-      else
-        let t = Vector.count_id tvec key in
-        let p = Vector.count_id parent key in
-        (ddot + (n * t), dsq + (n * ((2 * p) + n))))
-    vec_net (0, 0)
+  (!ddot, !dsq)
 
 let of_database db =
   Database.fold

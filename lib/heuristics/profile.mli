@@ -67,19 +67,36 @@ val apply_idelta :
     skipped wholesale, and the rest is netted per key first — O(changed
     cells) map updates however the delta is shaped. *)
 
+(** {1 Incremental cosine scoring} *)
+
+type target
+(** A cosine target index: the target vector's coordinates grouped into
+    one histogram per (REL, ATT) pair, shaped like {!Irel.histogram}
+    (value-string ids ascending, with their counts), plus |t|². Build it
+    once per search. *)
+
+val cosine_target : t -> target
+(** The index of a (target) profile's vector. *)
+
+val target_vector : target -> Vector.t
+val target_sq_norm : target -> int
+
 val idelta_cosine :
-  tvec:Vector.t ->
-  parent:Vector.t ->
+  target:target ->
   removed:(int * Irel.t) list ->
   added:(int * Irel.t) list ->
   int * int
 (** [(ddot, dsq)]: the exact changes to [dot child tvec] and to the squared
-    norm induced by applying the delta to a state whose vector is [parent].
-    Same shared-column skip and per-key netting as {!apply_idelta}, but no
-    maps are rebuilt — this is how the search scores a successor without
-    materializing its profile. All quantities are integers, so a score
-    folded along a chain of deltas is bit-identical to one recomputed from
-    the materialized vector ({!Vector.dot} / {!Vector.sq_norm}). *)
+    norm that the delta induces, from column histograms alone — no parent
+    profile is read. With the same shared-column skip as {!apply_idelta},
+    each other column adds (added side) or subtracts (removed side) its
+    Σc², and its histogram merged against the target's histogram for the
+    same (relation name, attribute). This is exact: a triple's count in
+    the parent is its count in the removed version of its relation, so
+    the per-triple change n(2p + n) of the squared norm is a² − r². All
+    quantities are integers, so a score folded along a chain of deltas is
+    bit-identical to one recomputed from the materialized vector
+    ({!Vector.dot} / {!Vector.sq_norm}). *)
 
 (** {1 Views} *)
 

@@ -61,8 +61,10 @@ let remove v key = remove_id v (intern_key key)
 let of_triples triples = List.fold_left add empty triples
 let cardinality v = M.cardinal v.counts
 let sq_norm v = v.sq_norm
-let count_id v key = match M.find_opt key v.counts with Some c -> c | None -> 0
-let count v key = count_id v (intern_key key)
+
+let count v key =
+  match M.find_opt (intern_key key) v.counts with Some c -> c | None -> 0
+
 let norm v = sqrt (float_of_int v.sq_norm)
 let equal a b = a.sq_norm = b.sq_norm && M.equal Int.equal a.counts b.counts
 let fold_id f v init = M.fold f v.counts init

@@ -56,7 +56,6 @@ val fold : (string * string * string -> int -> 'a -> 'a) -> t -> 'a -> 'a
 val fold_id : (int * int * int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 
 val count : t -> string * string * string -> int
-val count_id : t -> int * int * int -> int
 
 val norm : t -> float
 (** Euclidean length. *)

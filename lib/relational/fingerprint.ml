@@ -306,6 +306,7 @@ module Hashing = struct
   let schema_salt = schema_salt
   let fnv1a64 = fnv1a64
   let fnv_char = fnv_char
+  let fnv_string = fnv_string
   let value_fnv = value_fnv
   let lanes = lanes
   let elem = elem

@@ -120,6 +120,9 @@ module Hashing : sig
   val fnv1a64 : string -> int64
   val fnv_char : int64 -> char -> int64
 
+  val fnv_string : int64 -> string -> int64
+  (** Continue an FNV fold with the bytes of a string. *)
+
   val value_fnv : int64 -> Value.t -> int64
   (** Continue an FNV fold with the type-tagged encoding of one value. *)
 

@@ -36,12 +36,6 @@ type str_entry = {
   eb : int64;  (* Fingerprint element lanes of [str] *)
   mutable as_value : int;
       (* id of [Value.String str], -1 until interned; benign-race cache *)
-  mutable cell_ea : int64 array;
-      (* when this string is used as an attribute name: cached first cell
-         lane per value id ([mix64 (value_fnv prefix v)]), indexed by value
-         id, 0L = not yet computed. Grows by copy-replace; benign race (all
-         writers store the same deterministic value, a lost update or the
-         astronomically unlikely true-0L hash only costs a recompute). *)
 }
 
 type val_entry = {
@@ -67,7 +61,6 @@ let dummy_str =
     ea = 0L;
     eb = 0L;
     as_value = -1;
-    cell_ea = [||];
   }
 
 let dummy_val = { value = Value.Null; vstr = 0; tag = 0; null = true }
@@ -200,7 +193,7 @@ let new_str_entry s =
   let fnv = Fingerprint.Hashing.fnv1a64 s in
   let prefix = Fingerprint.Hashing.fnv_char fnv '\x1f' in
   let ea, eb = Fingerprint.Hashing.lanes fnv in
-  { str = s; prefix; ea; eb; as_value = -1; cell_ea = [||] }
+  { str = s; prefix; ea; eb; as_value = -1 }
 
 let new_val_entry v =
   {
@@ -244,41 +237,23 @@ let empty_string_id = string_id ""
 let null_value_id = value_id Value.Null
 
 (* First fingerprint cell lane of value [v_id] under attribute [att_id]:
-   [mix64 (value_fnv (prefix att) (value v))], memoized per (attribute,
-   value) pair so successor generation never re-hashes a value's bytes for
-   an (attribute, value) combination it has seen before. The second lane is
-   a cheap [mix64] away (see [Irel.col_lanes]) and is not cached. *)
+   [mix64 (value_fnv (prefix att) (value v))]. Nothing is memoized here:
+   the caller caches lanes per column ([Irel.col_lanes]), where sibling
+   states share them, and a per-attribute table indexed by value id would
+   grow with the pool for the life of the process. A float hashes its
+   entry's cached printed form instead of printing the value again. *)
 let cell_lane_a att_id v_id =
-  let e = str_entry att_id in
-  let arr = e.cell_ea in
-  let n = Array.length arr in
-  if v_id < n then begin
-    let x = Array.unsafe_get arr v_id in
-    if Int64.equal x 0L then begin
-      let x =
-        Fingerprint.Hashing.mix64
-          (Fingerprint.Hashing.value_fnv e.prefix (val_entry v_id).value)
-      in
-      Array.unsafe_set arr v_id x;
-      x
-    end
-    else x
-  end
-  else begin
-    let size = ref (max 1024 (2 * n)) in
-    while v_id >= !size do
-      size := 2 * !size
-    done;
-    let bigger = Array.make !size 0L in
-    Array.blit arr 0 bigger 0 n;
-    let x =
-      Fingerprint.Hashing.mix64
-        (Fingerprint.Hashing.value_fnv e.prefix (val_entry v_id).value)
-    in
-    bigger.(v_id) <- x;
-    e.cell_ea <- bigger;
-    x
-  end
+  let prefix = (str_entry att_id).prefix in
+  let e = val_entry v_id in
+  let h =
+    match e.value with
+    | Value.Float _ ->
+        Fingerprint.Hashing.fnv_string
+          (Fingerprint.Hashing.fnv_char prefix 'F')
+          (string_of_id e.vstr)
+    | v -> Fingerprint.Hashing.value_fnv prefix v
+  in
+  Fingerprint.Hashing.mix64 h
 
 let compare_values a b =
   if a = b then 0 else Value.compare (value_of_id a) (value_of_id b)

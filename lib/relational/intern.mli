@@ -41,9 +41,10 @@ val string_value_id : int -> int
 
 val cell_lane_a : int -> int -> int64
 (** [cell_lane_a att v] is the first fingerprint cell lane
-    [mix64 (value_fnv (string_prefix att) (value_of_id v))], memoized per
-    (attribute, value) pair — the successor hot path re-fingerprints fresh
-    relations over a value universe it has already hashed. *)
+    [mix64 (value_fnv (string_prefix att) (value_of_id v))]. Not memoized:
+    {!Irel} caches lanes per column, where sibling states share them. A
+    float hashes the entry's cached printed form, so no value is printed
+    again. *)
 
 val empty_string_id : int
 

@@ -2,11 +2,12 @@
 
    Storage is one int array of value ids per column plus the attribute
    name ids, with per-column caches for the derived quantities successor
-   generation keeps asking for: fingerprint element lanes, distinct value
-   strings, distinct value counts. Relations are immutable; ℒ operators
-   build fresh ones, sharing column records whenever the cell content of a
-   column survives unchanged (rename_att, project_away's fast path), which
-   is what lets the caches amortize across thousands of sibling states.
+   generation keeps asking for: fingerprint element lanes, the histogram
+   of value strings, distinct value counts. Relations are immutable; ℒ
+   operators build fresh ones, sharing column records whenever the cell
+   content of a column survives unchanged (rename_att, project_away's fast
+   path), which is what lets the caches amortize across thousands of
+   sibling states.
 
    Bit-identity contract: every operator here mirrors the corresponding
    Relation.* implementation step for step — same row production order,
@@ -20,13 +21,15 @@
    (see lib/tupelo/state.ml): concurrent domains at worst recompute the
    same immutable value and both publish it. *)
 
+type histogram = { strs : int array; counts : int array; sq : int }
+
 type col = {
   att : int;  (* attribute name string id *)
   ids : int array;  (* value ids, one per row *)
-  mutable lanes : (int64 array * int64 array) option;
-      (* fingerprint cell lanes (a, b) per row, for THIS att *)
-  mutable dstrs : int array option;
-      (* distinct non-null value-string ids, sorted by id *)
+  mutable lanes : Bytes.t option;
+      (* fingerprint cell lanes for THIS att, unboxed: lane a of row i at
+         byte 16i, lane b at 16i + 8 *)
+  mutable hist : histogram option;  (* value-string histogram *)
   mutable dcount : int;  (* |column_distinct| (nulls included); -1 unknown *)
 }
 
@@ -44,7 +47,7 @@ type t = {
 }
 
 let null_id = Intern.null_value_id
-let fresh_col att ids = { att; ids; lanes = None; dstrs = None; dcount = -1 }
+let fresh_col att ids = { att; ids; lanes = None; hist = None; dcount = -1 }
 
 (* A relation with every relation-level cache empty. *)
 let fresh atts cols nrows =
@@ -151,19 +154,39 @@ let dcount t j =
     n
   end
 
-let dstrs t j =
+(* One counting pass: sort the non-null cells' value-string ids, then
+   run-length them in place into distinct ids and their counts. *)
+let histogram t j =
   let c = t.cols.(j) in
-  match c.dstrs with
-  | Some d -> d
+  match c.hist with
+  | Some h -> h
   | None ->
-      let d =
-        Array.to_list c.ids
-        |> List.filter_map (fun id ->
-               if id = null_id then None else Some (Intern.value_str_id id))
-        |> List.sort_uniq Int.compare |> Array.of_list
-      in
-      c.dstrs <- Some d;
-      d
+      let s = Array.make (Array.length c.ids) 0 and n = ref 0 in
+      Array.iter
+        (fun id ->
+          if id <> null_id then begin
+            s.(!n) <- Intern.value_str_id id;
+            incr n
+          end)
+        c.ids;
+      let s = Array.sub s 0 !n in
+      Array.stable_sort Int.compare s;
+      let counts = Array.make !n 0 and d = ref 0 in
+      Array.iteri
+        (fun i x ->
+          if i = 0 || x <> s.(!d - 1) then begin
+            s.(!d) <- x;
+            incr d
+          end;
+          counts.(!d - 1) <- counts.(!d - 1) + 1)
+        s;
+      let counts = Array.sub counts 0 !d in
+      let sq = Array.fold_left (fun acc k -> acc + (k * k)) 0 counts in
+      let h = { strs = Array.sub s 0 !d; counts; sq } in
+      c.hist <- Some h;
+      h
+
+let dstrs t j = (histogram t j).strs
 
 let vstrs t =
   match t.vstrs with
@@ -197,18 +220,17 @@ let col_lanes t j =
   | Some l -> l
   | None ->
       let n = Array.length c.ids in
-      let la = Array.make n 0L and lb = Array.make n 0L in
+      let l = Bytes.create (16 * n) in
       for i = 0 to n - 1 do
-        (* The first lane is memoized per (attribute, value) pair in the
-           intern pool; the second is one mix away. *)
+        (* The second lane is one mix away from the first. *)
         let ea = Intern.cell_lane_a c.att (Array.unsafe_get c.ids i) in
-        la.(i) <- ea;
-        lb.(i) <-
-          Fingerprint.Hashing.mix64
-            (Int64.logxor ea Fingerprint.Hashing.lane_salt)
+        Bytes.set_int64_ne l (16 * i) ea;
+        Bytes.set_int64_ne l ((16 * i) + 8)
+          (Fingerprint.Hashing.mix64
+             (Int64.logxor ea Fingerprint.Hashing.lane_salt))
       done;
-      c.lanes <- Some (la, lb);
-      (la, lb)
+      c.lanes <- Some l;
+      l
 
 let fingerprint ~name t =
   match t.fp with
@@ -235,9 +257,9 @@ let fingerprint ~name t =
       for i = 0 to t.nrows - 1 do
         let sa = ref 0L and sb = ref 0L in
         for j = 0 to arity - 1 do
-          let la, lb = Array.unsafe_get lanes j in
-          sa := Int64.add !sa (Array.unsafe_get la i);
-          sb := Int64.add !sb (Array.unsafe_get lb i)
+          let l = Array.unsafe_get lanes j in
+          sa := Int64.add !sa (Bytes.get_int64_ne l (16 * i));
+          sb := Int64.add !sb (Bytes.get_int64_ne l ((16 * i) + 8))
         done;
         acc_a := Int64.add !acc_a (mix (Int64.add !sa ra));
         acc_b := Int64.add !acc_b (mix (Int64.add !sb rb))
@@ -933,7 +955,7 @@ let rename_att r ~old_name ~new_name =
       att = new_name;
       ids = old.ids;
       lanes = None;
-      dstrs = old.dstrs;
+      hist = old.hist;
       dcount = old.dcount;
     };
   (* Renaming changes no cell: the value and µ caches carry over. *)
@@ -951,21 +973,32 @@ let project_rows t atts_order =
   List.init t.nrows (fun i ->
       Array.map (fun j -> t.cols.(j).ids.(i)) idx)
 
-(* Physically-shared representation: same attribute sequence and the same
-   cell-id arrays (as produced by [rename_rel]-style sharing and the
-   [project_away]/[rename_att] fast paths). Sound for both equality
-   flavours — identical ids are identical cells. *)
-let shared_rep a b =
+(* Same attribute array and the same value id in every cell: the two are
+   one relation, so equal under both equalities below. Columns shared
+   physically ([rename_rel]-style sharing, the [project_away]/[rename_att]
+   fast paths) cost nothing, and a duplicate built afresh (µ on two
+   columns giving one relation) costs a scan. [false] claims nothing:
+   equal rows may hold other ids (Int 1 / Float 1.0) or sit under another
+   attribute order. Cells are compared by id, not by
+   [Intern.canonical_equal_values]: two floats with one printed form can
+   sort apart once the rows are re-sorted on the sorted attributes, and
+   the canonical key then tells the relations apart. *)
+let same_cells a b =
+  let rec cells x y i =
+    i < 0 || (Array.unsafe_get x i = Array.unsafe_get y i && cells x y (i - 1))
+  in
   a.nrows = b.nrows
   && Array.length a.atts = Array.length b.atts
   && Array.for_all2 Int.equal a.atts b.atts
-  && Array.for_all2 (fun ca cb -> ca.ids == cb.ids) a.cols b.cols
+  && Array.for_all2
+       (fun ca cb -> ca.ids == cb.ids || cells ca.ids cb.ids (a.nrows - 1))
+       a.cols b.cols
 
 (* Relation.equal: schemas equal as attribute sets, and rows equal (under
    Value.compare) once both sides are projected onto the sorted attribute
    order. *)
 let equal a b =
-  a == b || shared_rep a b
+  a == b || same_cells a b
   || a.nrows = b.nrows
      &&
      let sa = sorted_atts a and sb = sorted_atts b in
@@ -976,9 +1009,11 @@ let equal a b =
 
 (* Canonical-key equality: like [equal] but cells compared under the
    canonical type-tagged equivalence (so Int 1 ≠ Float 1.0 here). Used by
-   the fingerprint-collision fallback in successor dedup. *)
+   the fingerprint-collision fallback in successor dedup, where nearly
+   every call confirms a true duplicate in the same column layout: that
+   is settled in place, and anything else by the sorted projections. *)
 let canonical_equal a b =
-  a == b || shared_rep a b
+  a == b || same_cells a b
   || a.nrows = b.nrows
      &&
      let sa = sorted_atts a and sb = sorted_atts b in

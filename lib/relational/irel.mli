@@ -1,9 +1,9 @@
 (** Interned columnar relations for the search hot path.
 
     One int array of {!Intern} value ids per column, plus per-column caches
-    (fingerprint lanes, distinct value strings, distinct counts) that are
-    shared across derived relations whenever a column's cells survive an
-    operator unchanged.
+    (fingerprint lanes, the value-string histogram, distinct counts) that
+    are shared across derived relations whenever a column's cells survive
+    an operator unchanged.
 
     Bit-identity contract: every operator mirrors the corresponding
     {!Relation} function step for step — same row production order, same
@@ -64,9 +64,23 @@ val dcount : t -> int -> int
 (** [List.length (Relation.column_distinct r att)] for column [j] — the
     number of {!Value.compare}-distinct values, nulls included. Cached. *)
 
+type histogram = private {
+  strs : int array;  (** distinct non-null value-string ids, ascending *)
+  counts : int array;  (** cells holding each of [strs] *)
+  sq : int;  (** Σ count² *)
+}
+(** A column's non-null cells counted by printed form: the column's
+    coordinates of the profile term vector ({!Heuristics.Vector}). An
+    all-null or empty column has empty arrays and [sq = 0]. *)
+
+val histogram : t -> int -> histogram
+(** The histogram of column [j], built in one counting pass (sort the
+    value-string ids, then run-length them). Cached; {!rename_att} carries
+    it over. *)
+
 val dstrs : t -> int -> int array
-(** Distinct non-null value strings of column [j] (as string ids, sorted
-    by id) — the interned [column_strings]. Cached. *)
+(** [(histogram r j).strs]: distinct non-null value strings of column [j]
+    (as string ids, sorted by id) — the interned [column_strings]. *)
 
 val vstrs : t -> int array
 (** Distinct non-null value strings of the whole relation (sorted by id)
@@ -90,8 +104,9 @@ val usable_name : int -> int option
 
 val fingerprint : name:int -> t -> Fingerprint.t
 (** Bit-identical with [Fingerprint.of_relation ~rel r] for the relation
-    name with string id [name]. Per-column element lanes and the result
-    are cached. *)
+    name with string id [name]. Each column's cell lanes are cached
+    unboxed (16 bytes per row), so sibling states that share a column
+    share its lanes; the result is cached too. *)
 
 (** {1 ℒ operators} (mirrors of the {!Relation} functions) *)
 
@@ -183,7 +198,11 @@ val equal : t -> t -> bool
 
 val canonical_equal : t -> t -> bool
 (** {!Database.canonical_key} equality: like {!equal} but with
-    type-tagged cell equivalence (Int 1 ≠ Float 1.0). *)
+    type-tagged cell equivalence (Int 1 ≠ Float 1.0). Two relations with
+    the same attribute array are first compared column by column in
+    place; the same value id in every cell is [true]. Any other case, a
+    mismatch included, compares the rows sorted on the sorted attribute
+    order. {!equal} takes the same first step. *)
 
 val contains : t -> t -> bool
 (** {!Relation.contains}; the sorted projection of the big side is cached

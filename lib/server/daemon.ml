@@ -554,9 +554,9 @@ type probe =
    counts exactly one [cache.hit] or [cache.miss], except a partial-goal
    request, which the cache can neither answer nor learn from and which
    therefore never probes. *)
-let probe t body =
+let probe_sub t body ~off ~len =
   match
-    Result.bind (Json.parse body) (fun json ->
+    Result.bind (Json.parse_sub body ~off ~len) (fun json ->
         Result.bind (Protocol.decode_request json) (admit t.cfg))
   with
   | Error m ->
@@ -571,6 +571,8 @@ let probe t body =
       with
       | Some entry -> Hit entry
       | None -> Miss a)
+
+let probe t body = probe_sub t body ~off:0 ~len:(String.length body)
 
 let hit_response t entry started =
   let elapsed_ms = (Unix.gettimeofday () -. started) *. 1000. in
@@ -793,7 +795,9 @@ let dispatch_anytime t c ~keep ~started task =
 
 let truthy = function Some ("1" | "true" | "yes") -> true | _ -> false
 
-let handle_on_loop t c (req : Http.request) =
+(* [req]'s body is the [body_len] bytes of [c.inbuf] from [body_off]
+   ([Http.carve]); it is copied out only when it leaves the loop. *)
+let handle_on_loop t c (req : Http.request) ~body_off ~body_len =
   Telemetry.span t.tel Ev.span @@ fun () ->
   let keep = Http.keep_alive req && not (Atomic.get t.shutdown) in
   let started = Unix.gettimeofday () in
@@ -829,8 +833,8 @@ let handle_on_loop t c (req : Http.request) =
               dispatch_anytime t c ~keep ~started (A_resume retained))
       | None -> (
           let anytime = truthy (List.assoc_opt "anytime" params) in
-          let body = req.Http.body in
-          if String.length body > loop_parse_max then
+          if body_len > loop_parse_max then
+            let body = Bytes.sub_string c.inbuf body_off body_len in
             if anytime then dispatch_anytime t c ~keep ~started (A_raw body)
             else
               dispatch t c ~keep
@@ -842,7 +846,12 @@ let handle_on_loop t c (req : Http.request) =
                      f_started = started;
                    })
           else
-            match probe t body with
+            (* read in place: [probe_sub] keeps no reference to the
+               buffer, which is not touched until this returns *)
+            match
+              probe_sub t (Bytes.unsafe_to_string c.inbuf) ~off:body_off
+                ~len:body_len
+            with
             | Rejected m ->
                 enqueue_response c ~keep
                   (Http.response 400 (Protocol.error_body m))
@@ -875,21 +884,24 @@ let rec process t c =
   if c.in_flight || c.close_after_flush || c.dead || Atomic.get t.shutdown
   then ()
   else
-    match
-      Http.parse_buffered ~max_body:t.cfg.max_payload c.inbuf ~len:c.inlen
-    with
+    match Http.carve ~max_body:t.cfg.max_payload c.inbuf ~len:c.inlen with
     | `Need_more ->
         if c.inlen = 0 then c.read_deadline <- infinity
         else if c.read_deadline = infinity then
           c.read_deadline <-
             Unix.gettimeofday ()
             +. (float_of_int t.cfg.read_timeout_ms /. 1000.)
-    | `Request (req, consumed) ->
-        let rest = c.inlen - consumed in
-        if rest > 0 then Bytes.blit c.inbuf consumed c.inbuf 0 rest;
-        c.inlen <- rest;
+    | `Request (req, body_off, consumed) ->
         c.read_deadline <- infinity;
-        handle_on_loop t c req;
+        (* the body is read where it lies, so the pipelined rest moves
+           to the front only once the request is handled *)
+        Fun.protect
+          ~finally:(fun () ->
+            let rest = c.inlen - consumed in
+            if rest > 0 then Bytes.blit c.inbuf consumed c.inbuf 0 rest;
+            c.inlen <- rest)
+          (fun () ->
+            handle_on_loop t c req ~body_off ~body_len:(consumed - body_off));
         process t c
     | exception Http.Bad_request m ->
         Telemetry.count t.tel Ev.reject_bad 1;

@@ -19,14 +19,26 @@ module Reader = struct
     mutable eof : bool;
   }
 
-  let of_fn read =
-    { read; buf = Bytes.create 8192; lo = 0; hi = 0; eof = false }
+  let chunk = 8192
 
+  let make size read =
+    { read; buf = Bytes.create size; lo = 0; hi = 0; eof = false }
+
+  let of_fn read = make chunk read
   let of_fd fd = of_fn (Unix.read fd)
 
+  (* The buffer is the smallest power of two from 64 that holds [s],
+     capped at [chunk]: the event loop parses every request's header
+     block through here, and a [chunk]-sized buffer per request would be
+     a large block straight on the major heap, driving major GC cycles
+     on the cache-hit path. Sizes stay on [chunk]'s doubling series, so
+     growth and the line limits behave as with [of_fn]. *)
   let of_string s =
+    let rec size n =
+      if n >= chunk || n >= String.length s then n else size (2 * n)
+    in
     let pos = ref 0 in
-    of_fn (fun buf off len ->
+    make (size 64) (fun buf off len ->
         let n = min len (String.length s - !pos) in
         Bytes.blit_string s !pos buf off n;
         pos := !pos + n;
@@ -303,7 +315,7 @@ let header_block_end buf ~start ~len =
   in
   scan start
 
-let parse_buffered ?(max_body = default_max_body) buf ~len =
+let carve ?(max_body = default_max_body) buf ~len =
   let start = skip_blank_lines buf ~len in
   if start >= len then `Need_more
   else
@@ -323,8 +335,14 @@ let parse_buffered ?(max_body = default_max_body) buf ~len =
         let clen = content_length headers ~max_body in
         if hend + clen > len then `Need_more
         else
-          let body = Bytes.sub_string buf hend clen in
-          `Request ({ meth; path; version; headers; body }, hend + clen)
+          `Request ({ meth; path; version; headers; body = "" }, hend, hend + clen)
+
+let parse_buffered ?max_body buf ~len =
+  match carve ?max_body buf ~len with
+  | `Need_more -> `Need_more
+  | `Request (r, body_off, consumed) ->
+      let body = Bytes.sub_string buf body_off (consumed - body_off) in
+      `Request ({ r with body }, consumed)
 
 (* --- responses --- *)
 

@@ -83,6 +83,18 @@ val parse_buffered :
     (raised as soon as the headers are complete, before the body
     arrives). *)
 
+val carve :
+  ?max_body:int ->
+  Bytes.t ->
+  len:int ->
+  [ `Request of request * int * int | `Need_more ]
+(** {!parse_buffered} without copying the body out of [buf]:
+    [`Request (r, body_off, consumed)] has [r.body = ""], and the body is
+    the bytes of [buf] from [body_off] up to [consumed]. A body over
+    256 words copied into a string is allocated straight on the major
+    heap, so the event loop reads small bodies where they arrived. Same
+    errors as {!parse_buffered}. *)
+
 type response = {
   status : int;
   reason : string;

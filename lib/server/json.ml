@@ -64,9 +64,11 @@ let to_string v =
 
 exception Fail of int * string
 
-let parse input =
-  let n = String.length input in
-  let pos = ref 0 in
+let parse_sub input ~off ~len =
+  if off < 0 || len < 0 || off > String.length input - len then
+    invalid_arg "Json.parse_sub";
+  let n = off + len in
+  let pos = ref off in
   let fail fmt =
     Format.kasprintf (fun m -> raise (Fail (!pos, m))) fmt
   in
@@ -251,7 +253,10 @@ let parse input =
     v
   with
   | v -> Ok v
-  | exception Fail (at, m) -> Error (Printf.sprintf "json: %s at byte %d" m at)
+  | exception Fail (at, m) ->
+      Error (Printf.sprintf "json: %s at byte %d" m (at - off))
+
+let parse input = parse_sub input ~off:0 ~len:(String.length input)
 
 (* --- accessors --- *)
 

@@ -20,6 +20,12 @@ val parse : string -> (t, string) result
 (** Parse exactly one JSON value (surrounding whitespace allowed);
     trailing garbage is an error. Errors carry a byte offset. *)
 
+val parse_sub : string -> off:int -> len:int -> (t, string) result
+(** [parse_sub s ~off ~len] is [parse (String.sub s off len)] without the
+    copy; error offsets count from [off]. No string in the result shares
+    [s], so [s] may be a buffer's bytes that change after the call.
+    @raise Invalid_argument when the window is not within [s]. *)
+
 val to_string : t -> string
 (** Compact rendering, object fields in list order. Numbers that are
     exact integers print without a fractional part. *)

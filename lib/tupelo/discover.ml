@@ -267,6 +267,8 @@ type prepared = {
   algorithm : algorithm;  (** the snapshot's on resume *)
   target_info : Moves.target_info;
   target_profile : Heuristics.Profile.t;
+  target_cosine : Heuristics.Profile.target;
+      (** the target profile's cosine index, shared by every entrant *)
   moves_config : Moves.config;
   root : State.t;  (** the source with the warm prefix applied *)
   warm_prefix : Fira.Op.t list;
@@ -397,10 +399,12 @@ let prepare ~registry ~warm_start ?resume config ~source ~target =
         })
       resume
   in
+  let target_profile = Heuristics.Profile.of_database target in
   {
     algorithm;
     target_info;
-    target_profile = Heuristics.Profile.of_database target;
+    target_profile;
+    target_cosine = Heuristics.Profile.cosine_target target_profile;
     moves_config;
     root;
     warm_prefix;
@@ -557,15 +561,16 @@ let run_engine ~registry ~stop ~anytime ?tracker config p =
       in
       (* Cosine estimates skip profile materialization entirely: the
          state's dot/norm parts are folded incrementally along the parent
-         chain (State.cosine_parts) — bit-identical to scoring the
-         materialized profile, but O(changed cells) per new state. *)
+         chain (State.cosine_parts) from the changed columns' histograms
+         and the target index — bit-identical to scoring the materialized
+         profile. *)
       let eval =
         match heuristic.Heuristics.Heuristic.cosine_k with
         | Some k ->
-            let tvec = Heuristics.Profile.vector p.target_profile in
+            let target = p.target_cosine in
             fun state ->
               Heuristics.Heuristic.cosine_scaled ~k
-                (State.cosine_distance ~tvec state)
+                (State.cosine_distance ~target state)
         | None ->
             fun state ->
               heuristic.Heuristics.Heuristic.estimate ~target:p.target_profile

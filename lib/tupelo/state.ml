@@ -25,9 +25,9 @@ type t = {
   mutable profile : profile_state;
   mutable key : string option;
       (* canonical key: tests and boxed cross-checks *)
-  mutable score : (Heuristics.Vector.t * float * int) option;
-      (* cosine parts (dot, sq_norm) against one target vector, keyed by
-         physical identity of that vector — see [cosine_parts] *)
+  mutable score : (Heuristics.Profile.target * float * int) option;
+      (* cosine parts (dot, sq_norm) against one target index, keyed by
+         physical identity of that index — see [cosine_parts] *)
 }
 
 and profile_state =
@@ -71,45 +71,42 @@ let rec profile s =
       p
 
 (* Cosine score parts — dot(s, target) and |s|² — maintained incrementally
-   along the parent chain, so scoring a successor costs O(changed cells)
-   and never materializes its profile. The parent's profile IS forced (its
-   vector supplies the old per-key counts for the sq-norm algebra), which
-   amortizes: in best-first search a state's children are scored only when
-   it is expanded, so each expanded state pays for one profile and each
-   generated-but-never-expanded state pays only for its delta scan.
+   along the parent chain, so scoring a successor costs its changed
+   columns' histograms and never materializes a profile: the delta algebra
+   ([Profile.idelta_cosine]) needs no parent counts, so a cosine search
+   forces no profile but the root's.
 
    Both parts are exact integers (stored as float/int), so the incremental
    score is bit-identical to [Vector.dot (Profile.vector (profile s)) tvec]
    and [Vector.sq_norm ...] — search order cannot diverge from the
    profile-based path. The cache is keyed by physical identity of the
-   target vector (one target per search); same benign-race story as the
-   other caches. *)
-let rec cosine_parts ~tvec s =
+   target index (one per search); same benign-race story as the other
+   caches. *)
+let rec cosine_parts ~target s =
   match s.score with
-  | Some (tv, dot, sq) when tv == tvec -> (dot, sq)
+  | Some (tg, dot, sq) when tg == target -> (dot, sq)
   | _ ->
       let ((dot, sq) as parts) =
         match s.profile with
         | Profile p ->
             let v = Heuristics.Profile.vector p in
-            (Heuristics.Vector.dot v tvec, Heuristics.Vector.sq_norm v)
+            ( Heuristics.Vector.dot v (Heuristics.Profile.target_vector target),
+              Heuristics.Vector.sq_norm v )
         | From_parent (parent, removed, added) ->
-            let pdot, psq = cosine_parts ~tvec parent in
-            let pvec = Heuristics.Profile.vector (profile parent) in
+            let pdot, psq = cosine_parts ~target parent in
             let ddot, dsq =
-              Heuristics.Profile.idelta_cosine ~tvec ~parent:pvec ~removed
-                ~added
+              Heuristics.Profile.idelta_cosine ~target ~removed ~added
             in
             (pdot +. float_of_int ddot, psq + dsq)
       in
-      s.score <- Some (tvec, dot, sq);
+      s.score <- Some (target, dot, sq);
       parts
 
-let cosine_distance ~tvec s =
+let cosine_distance ~target s =
   (* Mirrors Vector.cosine_distance operation for operation so the result
      is bit-identical to scoring the materialized vector. *)
-  let dot, sq = cosine_parts ~tvec s in
-  let tsq = Heuristics.Vector.sq_norm tvec in
+  let dot, sq = cosine_parts ~target s in
+  let tsq = Heuristics.Profile.target_sq_norm target in
   match (sq = 0, tsq = 0) with
   | true, true -> 0.0
   | true, false | false, true -> 1.0

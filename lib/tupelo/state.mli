@@ -60,19 +60,22 @@ val profile : t -> Heuristics.Profile.t
 (** TNF profile for the heuristics, delta-maintained; materialized (and
     cached) on first use. *)
 
-val cosine_parts : tvec:Heuristics.Vector.t -> t -> float * int
-(** [(dot, sq_norm)] of the state's term vector against target vector
-    [tvec], maintained incrementally along the parent chain (the delta scan
-    of {!Heuristics.Profile.idelta_cosine}) and cached per state. Both are
-    exact integers, so the result is bit-identical to computing
+val cosine_parts : target:Heuristics.Profile.target -> t -> float * int
+(** [(dot, sq_norm)] of the state's term vector against the target index,
+    maintained incrementally along the parent chain from the changed
+    columns' histograms ({!Heuristics.Profile.idelta_cosine}) and cached
+    per state. Neither the state's profile nor its parent's is
+    materialized; only a root built from scratch holds one. Both parts
+    are exact integers, so the result is bit-identical to computing
     {!Heuristics.Vector.dot} / {!Heuristics.Vector.sq_norm} on the
     materialized profile. The cache is keyed by physical identity of
-    [tvec] — use one vector per search. *)
+    [target] — use one index per search. *)
 
-val cosine_distance : tvec:Heuristics.Vector.t -> t -> float
-(** [Vector.cosine_distance (Profile.vector (profile s)) tvec], computed
-    from {!cosine_parts} without materializing the state's profile;
-    bit-identical to the profile-based computation. *)
+val cosine_distance : target:Heuristics.Profile.target -> t -> float
+(** [Vector.cosine_distance (Profile.vector (profile s)) tvec] for the
+    target index's vector, computed from {!cosine_parts} without
+    materializing any profile; bit-identical to the profile-based
+    computation. *)
 
 val equal : t -> t -> bool
 (** Fingerprint equality. *)

@@ -295,8 +295,7 @@ let test_hit_allocates_nothing () =
       words
 
 (* Registered after every other suite, so the 100k-odd keys these
-   intern do not inflate the ids the others see (an attribute's cached
-   cell lanes are indexed by value id). *)
+   intern do not inflate the pool the others see. *)
 let suite =
   [
     Alcotest.test_case "a hit allocates no minor words" `Quick

@@ -382,6 +382,117 @@ let test_admit_allocation () =
     Alcotest.failf "JSON + decode + admit of a 6 x 24 x 5 request: %.0f minor words (limit 20000)"
       words
 
+(* The event loop carves a request with [Http.carve] and parses its body
+   where it lies; a body copied into a string of more than 256 words is
+   allocated straight on the major heap, and on the cache-hit path those
+   allocations alone paced the major GC. *)
+let direct_major_words () =
+  Gc.minor ();
+  let s = Gc.quick_stat () in
+  s.Gc.major_words -. s.Gc.promoted_words
+
+let test_loop_hit_path_major_words () =
+  let body = hit_shaped_body () in
+  let wire =
+    Printf.sprintf "POST /discover HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
+      (String.length body) body
+  in
+  let buf = Bytes.of_string wire in
+  let cfg = Daemon.config () in
+  let on_loop () =
+    match Http.carve buf ~len:(Bytes.length buf) with
+    | `Need_more -> Alcotest.fail "hit request: need more"
+    | `Request (_, off, consumed) -> (
+        match
+          Result.bind
+            (Json.parse_sub (Bytes.unsafe_to_string buf) ~off ~len:(consumed - off))
+            Protocol.decode_request
+        with
+        | Error m -> Alcotest.failf "request: %s" m
+        | Ok r -> (
+            match Daemon.admit cfg r with
+            | Ok a -> ignore (Sys.opaque_identity a)
+            | Error m -> Alcotest.failf "admit: %s" m))
+  in
+  let major_words reps =
+    let before = direct_major_words () in
+    for _ = 1 to reps do
+      on_loop ()
+    done;
+    direct_major_words () -. before
+  in
+  on_loop ();
+  (* the first reading after start-up can carry a one-off promotion *)
+  ignore (major_words 0);
+  let reps = 50 in
+  let words = major_words reps in
+  if words >= float_of_int reps then
+    Alcotest.failf
+      "carve + JSON + decode + admit of a %d-byte request: %.0f major-heap words over %d runs"
+      (String.length wire) words reps
+
+(* One to three requests back to back, each a method, a path and a
+   body, with CRLF noise before some of them. *)
+let wire_gen =
+  let open QCheck2.Gen in
+  let body =
+    string_size ~gen:(oneofl [ 'a'; '{'; '"'; '\r'; '\n'; ' '; '0' ]) (int_range 0 40)
+  in
+  let one =
+    let* meth = oneofl [ "GET"; "POST" ] in
+    let* path = oneofl [ "/discover"; "/stats"; "/x?a=1" ] in
+    let* noise = oneofl [ ""; "\r\n"; "\n" ] in
+    let+ body = body in
+    Printf.sprintf "%s%s %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
+      noise meth path (String.length body) body
+  in
+  map (String.concat "") (list_size (int_range 1 3) one)
+
+let carve_matches_parse_buffered =
+  qcheck ~count:300 "http: carve = parse_buffered, body left in place" wire_gen
+    (fun wire ->
+      let buf = Bytes.of_string wire in
+      let outcome f = try Ok (f ()) with e -> Error (Printexc.to_string e) in
+      let rec at len =
+        len > Bytes.length buf
+        ||
+        let same =
+          match
+            ( outcome (fun () -> Http.parse_buffered buf ~len),
+              outcome (fun () -> Http.carve buf ~len) )
+          with
+          | Ok `Need_more, Ok `Need_more -> true
+          | Ok (`Request (r, consumed)), Ok (`Request (r', off, consumed')) ->
+              consumed = consumed' && r' = { r with Http.body = "" }
+              && Bytes.sub_string buf off (consumed' - off) = r.Http.body
+          | Error a, Error b -> a = b
+          | _ -> false
+        in
+        if not same then QCheck2.Test.fail_reportf "differ at len %d of %S" len wire;
+        at (len + 1)
+      in
+      at 0)
+
+let json_parse_sub_window =
+  qcheck ~count:500 "json: parse_sub = parse of the window"
+    QCheck2.Gen.(
+      triple tricky_string_gen
+        (oneof
+           [
+             map Json.to_string json_gen;
+             oneofl [ ""; "{"; "[1,]"; "{\"a\":}"; "nul"; "1 2"; "\"\\x\""; " 12 "; "\"ab" ];
+           ])
+        tricky_string_gen)
+    (fun (pre, doc, post) ->
+      let s = pre ^ doc ^ post in
+      match
+        ( Json.parse doc,
+          Json.parse_sub s ~off:(String.length pre) ~len:(String.length doc) )
+      with
+      | Ok a, Ok b -> Json.equal a b
+      | Error a, Error b -> a = b || QCheck2.Test.fail_reportf "%S vs %S" a b
+      | _ -> QCheck2.Test.fail_reportf "outcomes differ on %S" doc)
+
 (* --- anytime stream frames --- *)
 
 let incumbent_gen =
@@ -1365,4 +1476,8 @@ let suite =
       test_duplicate_relation_rejected;
     Alcotest.test_case "e2e: 200 runs each drain on SIGTERM" `Quick
       test_run_sigterm_stress;
+    Alcotest.test_case "loop hit path: nothing on the major heap" `Quick
+      test_loop_hit_path_major_words;
+    carve_matches_parse_buffered;
+    json_parse_sub_window;
   ]

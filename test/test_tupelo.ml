@@ -650,9 +650,10 @@ let test_config_defaults () =
 
 (* The shape of perfbench's cold pair: a B-shaped price list (carrier,
    route, cost, fee) against the A-shaped target with one cost column per
-   route. Default RBFS examines 489 states on it. *)
-let cold_pair () =
-  let t = "c1x0_" in
+   route. Default RBFS examines 489 states on it. Every name carries
+   [tag], so pairs with different tags share no names. *)
+let cold_pair ?(tag = "c1x0_") () =
+  let t = tag in
   let carriers = List.init 8 Fun.id and routes = List.init 3 Fun.id in
   let carrier c = Printf.sprintf "%sC%d" t c and route r = Printf.sprintf "%sR%d" t r in
   let cost c r = string_of_int ((100 * (c + 1)) + (10 * r)) in
@@ -722,6 +723,27 @@ let test_discovery_heap_bounded () =
   growth "astar, jobs 2" (D.config ~algorithm:D.Astar ~jobs:2 ());
   growth "portfolio, jobs 2" (D.config ~algorithm:D.Portfolio ~jobs:2 ())
 
+let test_fresh_pairs_heap_bounded () =
+  (* A server discovers fresh pairs: each one interns new names, so the
+     pool's ids keep growing. Per-run state may grow with the pairs'
+     names, but nothing indexed by value id may be allocated per name:
+     such a table grows with the pool and lives as long as it does. *)
+  let run i =
+    let source, target = cold_pair ~tag:(Printf.sprintf "lh%d_" i) () in
+    ignore (D.discover (D.config ()) ~source ~target)
+  in
+  run 0;
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  let pairs = 40 in
+  for i = 1 to pairs do
+    run i
+  done;
+  Gc.full_major ();
+  let per_pair = ((Gc.stat ()).Gc.live_words - before) / pairs in
+  if per_pair >= 2_000 then
+    Alcotest.failf "%d fresh pairs left %d words live per pair" pairs per_pair
+
 let suite =
   [
     Alcotest.test_case "goal modes" `Quick test_goal_modes;
@@ -763,4 +785,6 @@ let suite =
       test_successor_memo_counts;
     Alcotest.test_case "discover: live heap bounded over repeated runs" `Quick
       test_discovery_heap_bounded;
+    Alcotest.test_case "discover: live heap bounded over fresh pairs" `Quick
+      test_fresh_pairs_heap_bounded;
   ]
