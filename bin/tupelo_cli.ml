@@ -776,7 +776,9 @@ let serve_cmd =
       & info [ "no-search-telemetry" ]
           ~doc:
             "Only server-level events (requests, queue, cache) reach \
-             --trace/--metrics; omit the per-state search event stream.")
+             --trace/--metrics; omit the per-state search event stream. \
+             Without --trace or --metrics no search event is emitted \
+             anyway.")
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(

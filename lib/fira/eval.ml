@@ -147,10 +147,7 @@ let iexplain_inapplicable = Interned_check.explain_inapplicable
 
 let iapplicable registry op idb = iexplain_inapplicable registry op idb = None
 
-let apply_interned_delta ~semantics registry op idb =
-  (match iexplain_inapplicable registry op idb with
-  | Some reason -> error "fira: %s inapplicable: %s" (Op.to_string op) reason
-  | None -> ());
+let apply_interned_unchecked ~semantics registry op idb =
   let id = Intern.string_id in
   let replace name r' =
     let name = id name in
@@ -247,6 +244,12 @@ let apply_interned_delta ~semantics registry op idb =
         | _ -> assert false
       in
       replace out (Irel.of_relation r')
+
+let apply_interned_delta ~semantics registry op idb =
+  (match iexplain_inapplicable registry op idb with
+  | Some reason -> error "fira: %s inapplicable: %s" (Op.to_string op) reason
+  | None -> ());
+  apply_interned_unchecked ~semantics registry op idb
 
 let apply_with ~semantics registry op db =
   fst (apply_with_delta ~semantics registry op db)

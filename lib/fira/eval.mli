@@ -98,3 +98,15 @@ val apply_interned_delta :
   Idb.t * idelta
 (** Mirror of {!apply_with_delta} over the interned form.
     @raise Error when the operator is not applicable. *)
+
+val apply_interned_unchecked :
+  semantics:[ `Full | `Syntactic ] ->
+  Semfun.registry ->
+  Op.t ->
+  Idb.t ->
+  Idb.t * idelta
+(** {!apply_interned_delta} without its applicability check.
+    Precondition: [iapplicable registry op idb] holds — as it does for
+    every operator that [Tupelo.Moves.candidates] admitted on this
+    [idb], which has already run the check. On an inapplicable operator
+    the result is unspecified (a wrong database or any exception). *)

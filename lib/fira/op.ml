@@ -38,21 +38,34 @@ let rel_of = function
 let compare = Stdlib.compare
 let equal a b = compare a b = 0
 
-let kind_name = function
-  | Promote _ -> "promote"
-  | Demote _ -> "demote"
-  | Dereference _ -> "dereference"
-  | Partition _ -> "partition"
-  | Product _ -> "product"
-  | Drop _ -> "drop"
-  | Merge _ -> "merge"
-  | RenameAtt _ -> "rename_att"
-  | RenameRel _ -> "rename_rel"
-  | Apply _ -> "apply"
-  | Union _ -> "union"
-  | Diff _ -> "diff"
-  | Join _ -> "join"
-  | Select _ -> "select"
+let kind_index = function
+  | Promote _ -> 0
+  | Demote _ -> 1
+  | Dereference _ -> 2
+  | Partition _ -> 3
+  | Product _ -> 4
+  | Drop _ -> 5
+  | Merge _ -> 6
+  | RenameAtt _ -> 7
+  | RenameRel _ -> 8
+  | Apply _ -> 9
+  | Union _ -> 10
+  | Diff _ -> 11
+  | Join _ -> 12
+  | Select _ -> 13
+
+let kind_names =
+  [|
+    "promote"; "demote"; "dereference"; "partition"; "product"; "drop";
+    "merge"; "rename_att"; "rename_rel"; "apply"; "union"; "diff"; "join";
+    "select";
+  |]
+
+let kind_name op = kind_names.(kind_index op)
+
+let event_names prefix =
+  let names = Array.map (fun k -> prefix ^ k) kind_names in
+  fun op -> names.(kind_index op)
 
 (* Names in the compact ASCII form are printed raw when they cannot be
    mistaken for the syntax around them, and double-quoted (with backslash

@@ -69,6 +69,10 @@ val kind_name : t -> string
     ([promote], [rename_att], …) — used as the [<op>] segment of
     telemetry event names such as [moves.proposed.<op>]. *)
 
+val event_names : string -> t -> string
+(** [event_names prefix] is [fun op -> prefix ^ kind_name op], with
+    every name built once, up front: applying it allocates nothing. *)
+
 val to_string : t -> string
 (** Compact ASCII form, e.g. [promote[Route/Cost](Prices)]. Names that
     could be mistaken for surrounding syntax (delimiters, leading/trailing

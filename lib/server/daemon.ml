@@ -347,6 +347,10 @@ let stats_json t =
                ("evictions", c "cache.evict");
              ] );
          ("search", Json.Obj [ ("states_examined", c Ev.states) ]);
+         ( "telemetry",
+           Json.Obj
+             [ ("events", Json.Num (float_of_int (Telemetry.Agg.events t.agg))) ]
+         );
          ( "anytime",
            Json.Obj
              [
@@ -452,8 +456,11 @@ let search_setup t (p : prepared) =
     end
     else false
   in
+  (* Search events go out only when a sink will read them: /stats reads
+     none of them, so without a trace sink they would only fill [agg]. *)
   let search_tel =
-    if t.cfg.search_telemetry then t.tel else Telemetry.disabled
+    if t.cfg.search_telemetry && Option.is_some t.cfg.trace_sink then t.tel
+    else Telemetry.disabled
   in
   let dconfig =
     Tupelo.Discover.config ~algorithm:p.adm.p_algorithm

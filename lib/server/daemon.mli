@@ -36,7 +36,8 @@
       same telemetry aggregate that backs the [--trace] sink, so the
       numbers reconcile exactly with an aggregated trace. Includes an
       [anytime] section (incumbents streamed, resume requests, frontier
-      retention/eviction counters).
+      retention/eviction counters) and [telemetry.events], the number of
+      events that aggregate has received.
 
     Error mapping: malformed HTTP or JSON → 400, a partial request
     older than [read_timeout_ms] (slow loris) → 408 and close,
@@ -69,9 +70,12 @@ type config = {
   frontier_ttl_ms : int;
       (** how long an unredeemed resume token stays valid *)
   search_telemetry : bool;
-      (** when true (default) the full search-engine event stream of
-          every executed discovery flows to the sink; when false only
-          server-level events do (compact traces under load) *)
+      (** when true (default) and a [trace_sink] is attached, the full
+          search-engine event stream of every executed discovery flows
+          to it; when false only server-level events do (compact traces
+          under load). Without a sink no search event is emitted at all:
+          [/stats] reads none of them, so the searches run on
+          {!Telemetry.disabled}. *)
   trace_sink : Telemetry.Sink.t option;
       (** external sink, e.g. the [--trace] JSONL file; the daemon tees
           an internal aggregate behind the same events for [/stats] *)
@@ -98,8 +102,8 @@ val config :
 (** Defaults: 127.0.0.1:8080, queue 64, 2 worker domains, 1 job,
     one-million state budget cap, 30s search timeout, 10s read timeout,
     8 MiB payloads, 256 cache entries in 8 shards, 32 retained
-    frontiers with a 5-minute TTL, search telemetry on, no external
-    sink.
+    frontiers with a 5-minute TTL, search telemetry on (it takes
+    effect only once a [trace_sink] is given), no external sink.
     @raise Invalid_argument on non-positive capacities/workers/limits. *)
 
 (** {1 Admission} *)

@@ -241,11 +241,9 @@ let sum_stats ~iterations ~elapsed_s results =
     }
     results
 
-(* Per-operator-kind event names. Built with [^] only when telemetry is
-   live — callers guard with [Telemetry.enabled] so the disabled path
-   stays allocation-free. *)
-let proposed_event op = "moves.proposed." ^ Fira.Op.kind_name op
-let applied_event op = "moves.applied." ^ Fira.Op.kind_name op
+(* Per-operator-kind event names, built once per kind. *)
+let proposed_event = Fira.Op.event_names "moves.proposed."
+let applied_event = Fira.Op.event_names "moves.applied."
 
 let frontier_policy : algorithm -> Search.Frontier_search.policy = function
   | Greedy -> Greedy

@@ -487,35 +487,35 @@ let successors ?(telemetry = Telemetry.disabled) config registry target state =
     Telemetry.timed telemetry "moves.apply" @@ fun () ->
     List.filter_map
       (fun op ->
-        match
-          Fira.Eval.apply_interned_delta ~semantics:`Syntactic registry op idb
-        with
-        | exception Fira.Eval.Error _ -> None
-        | idb', delta ->
-            (* The successor's size follows from the parent's count and the
-               delta — prune oversized states before building them. *)
-            if
-              State.total_cells state + Fira.Eval.idelta_cells delta
-              > config.max_state_cells
-            then None
-            else begin
-              let s' = State.of_isuccessor state delta idb' in
-              incr built;
-              let fp = State.fingerprint s' in
-              match Fp_tbl.find_opt seen fp with
-              | None ->
-                  Fp_tbl.add seen fp s';
-                  Some (op, s')
-              | Some _ ->
-                  let twins = Fp_tbl.find_all seen fp in
-                  if List.exists (fun s0 -> State.same_content s0 s') twins
-                  then None (* true duplicate *)
-                  else begin
-                    Telemetry.count telemetry "fingerprint.collision" 1;
-                    Fp_tbl.add seen fp s';
-                    Some (op, s')
-                  end
-            end)
+        (* [candidates] admitted [op] on this [idb]: skip the re-check. *)
+        let idb', delta =
+          Fira.Eval.apply_interned_unchecked ~semantics:`Syntactic registry op
+            idb
+        in
+        (* The successor's size follows from the parent's count and the
+           delta — prune oversized states before building them. *)
+        if
+          State.total_cells state + Fira.Eval.idelta_cells delta
+          > config.max_state_cells
+        then None
+        else begin
+          let s' = State.of_isuccessor state delta idb' in
+          incr built;
+          let fp = State.fingerprint s' in
+          match Fp_tbl.find_opt seen fp with
+          | None ->
+              Fp_tbl.add seen fp s';
+              Some (op, s')
+          | Some _ ->
+              let twins = Fp_tbl.find_all seen fp in
+              if List.exists (fun s0 -> State.same_content s0 s') twins
+              then None (* true duplicate *)
+              else begin
+                Telemetry.count telemetry "fingerprint.collision" 1;
+                Fp_tbl.add seen fp s';
+                Some (op, s')
+              end
+        end)
       ops
   in
   if !built > 0 then Telemetry.count telemetry "fingerprint.incremental" !built;

@@ -113,4 +113,9 @@ val successors :
     and counts [fingerprint.collision]. Successors that fail to change the
     state are kept — cycle detection in the search layer removes them —
     but duplicates within the list are dropped. Proposal and application
-    are timed as [moves.propose] and [moves.apply]. *)
+    are timed as [moves.propose] and [moves.apply].
+
+    Each candidate is applied by {!Fira.Eval.apply_interned_unchecked},
+    whose precondition — the operator was admitted by {!candidates} on
+    this [idb] — holds by construction, so applicability is checked once
+    per operator, in {!candidates}. *)

@@ -348,6 +348,47 @@ let test_registry () =
     | exception Fira.Semfun.Error _ -> true
     | _ -> false)
 
+(* Telemetry counters are named [<prefix><kind>] and consumers sum them
+   by name, so the precomputed names must read exactly as before. *)
+let test_event_names () =
+  let open Fira.Op in
+  let ops =
+    [
+      Promote { rel = "r"; name_col = "a"; value_col = "b" };
+      Demote { rel = "r"; att_att = "a"; rel_att = "b" };
+      Dereference { rel = "r"; target = "a"; pointer_col = "b" };
+      Partition { rel = "r"; col = "a" };
+      Product { left = "r"; right = "s"; out = "t" };
+      Drop { rel = "r"; col = "a" };
+      Merge { rel = "r"; col = "a" };
+      RenameAtt { rel = "r"; old_name = "a"; new_name = "b" };
+      RenameRel { old_name = "r"; new_name = "s" };
+      Apply { rel = "r"; func = "f"; inputs = [ "a" ]; output = "b" };
+      Union { left = "r"; right = "s"; out = "t" };
+      Diff { left = "r"; right = "s"; out = "t" };
+      Join { left = "r"; right = "s"; out = "t" };
+      Select { rel = "r"; pred = Relational.Algebra.True };
+    ]
+  in
+  let proposed = event_names "moves.proposed." in
+  Alcotest.(check (list string))
+    "one name per kind"
+    [
+      "moves.proposed.promote"; "moves.proposed.demote";
+      "moves.proposed.dereference"; "moves.proposed.partition";
+      "moves.proposed.product"; "moves.proposed.drop"; "moves.proposed.merge";
+      "moves.proposed.rename_att"; "moves.proposed.rename_rel";
+      "moves.proposed.apply"; "moves.proposed.union"; "moves.proposed.diff";
+      "moves.proposed.join"; "moves.proposed.select";
+    ]
+    (List.map proposed ops);
+  List.iter
+    (fun op ->
+      Alcotest.(check string) "prefix ^ kind_name"
+        ("moves.applied." ^ kind_name op)
+        (event_names "moves.applied." op))
+    ops
+
 let suite =
   [
     Alcotest.test_case "Example 2 end-to-end" `Quick test_example2;
@@ -368,4 +409,5 @@ let suite =
     Alcotest.test_case "parser rejects malformed input" `Quick test_parser_errors;
     Alcotest.test_case "parser skips comments" `Quick test_parser_comments;
     Alcotest.test_case "semfun registry" `Quick test_registry;
+    Alcotest.test_case "op: event names, one per kind" `Quick test_event_names;
   ]

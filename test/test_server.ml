@@ -1394,6 +1394,88 @@ let test_anytime_rejects_bad_requests () =
   | Ok (s, _) -> Alcotest.failf "phantom partial: expected 400, got %d" s
   | Error m -> Alcotest.failf "phantom partial: %s" m
 
+(* --- who pays for search telemetry --- *)
+
+(* Fig. 1's B -> A restructuring over 8 carriers and 3 routes, with
+   every name and string value tagged, so each tag is a fresh cold
+   pair: no cache hit, no warm start, and a search of a few hundred
+   states (489, as perfbench's serve-cold pair). *)
+let tagged_fig1_pair tag =
+  let t s = tag ^ s in
+  let carriers = List.init 8 Fun.id and routes = List.init 3 Fun.id in
+  let carrier c = Printf.sprintf "%sC%d" tag c in
+  let route r = Printf.sprintf "%sR%d" tag r in
+  let cost c r = string_of_int ((100 * (c + 1)) + (10 * r)) in
+  let fee c = string_of_int (15 + c) in
+  let csv header rows =
+    String.concat "\n" (List.map (String.concat ",") (header :: rows)) ^ "\n"
+  in
+  ( [
+      ( t "Prices",
+        csv
+          [ t "Carrier"; t "Route"; t "Cost"; t "AgentFee" ]
+          (List.concat_map
+             (fun c ->
+               List.map (fun r -> [ carrier c; route r; cost c r; fee c ]) routes)
+             carriers) );
+    ],
+    [
+      ( t "Flights",
+        csv
+          (t "Carrier" :: t "Fee" :: List.map route routes)
+          (List.map
+             (fun c -> carrier c :: fee c :: List.map (cost c) routes)
+             carriers) );
+    ] )
+
+let stats_of t =
+  match Json.parse (Daemon.stats_json t) with
+  | Ok j -> j
+  | Error m -> Alcotest.failf "stats: %s" m
+
+(* /stats reads no search event, so a server without a trace sink must
+   emit none: one cold discovery adds only its handful of server-level
+   events to the internal aggregate, not the per-state stream (thousands
+   of events). *)
+let test_no_sink_no_search_events () =
+  let t = Daemon.start (Daemon.config ~port:0 ~workers:1 ()) in
+  Fun.protect ~finally:(fun () -> Daemon.stop t) @@ fun () ->
+  let port = Daemon.port t in
+  let events () = stats_counter (stats_of t) [ "telemetry"; "events" ] in
+  let before = events () in
+  let source, target = tagged_fig1_pair "nosink_" in
+  let resp =
+    check_outcome "cold pair" "mapping"
+      (discover_once ~port (Protocol.request ~source ~target ()))
+  in
+  Alcotest.(check string) "a cold search" "miss" resp.Protocol.cache;
+  Alcotest.(check int) "the search examined states" 489
+    resp.Protocol.states_examined;
+  let grown = events () - before in
+  if grown >= 32 then
+    Alcotest.failf "telemetry.events grew by %d for one cold request" grown
+
+(* With a sink attached and search telemetry on, the sink still sees the
+   whole search stream: its examine counter sums to the response's
+   states examined. *)
+let test_sink_keeps_search_events () =
+  let agg = Telemetry.Agg.create () in
+  let t =
+    Daemon.start
+      (Daemon.config ~port:0 ~workers:1 ~search_telemetry:true
+         ~trace_sink:(Telemetry.Agg.sink agg) ())
+  in
+  Fun.protect ~finally:(fun () -> Daemon.stop t) @@ fun () ->
+  let source, target = tagged_fig1_pair "sink_" in
+  let resp =
+    check_outcome "cold pair" "mapping"
+      (discover_once ~port:(Daemon.port t) (Protocol.request ~source ~target ()))
+  in
+  Alcotest.(check string) "a cold search" "miss" resp.Protocol.cache;
+  Alcotest.(check int) "search.examine = states_examined"
+    resp.Protocol.states_examined
+    (Telemetry.Agg.counter agg "search.examine")
+
 let suite =
   [
     Alcotest.test_case "http: parses a simple request" `Quick
@@ -1480,4 +1562,8 @@ let suite =
       test_loop_hit_path_major_words;
     carve_matches_parse_buffered;
     json_parse_sub_window;
+    Alcotest.test_case "e2e: no trace sink, no search events" `Quick
+      test_no_sink_no_search_events;
+    Alcotest.test_case "e2e: a trace sink sees every examined state" `Quick
+      test_sink_keeps_search_events;
   ]
