@@ -520,7 +520,10 @@ let migrate_cmd_run program_path inputs semfuns out_dir jobs chunk_rows =
         Printf.eprintf
           "migrated %d rows -> %d rows: %d ops over %d chunks, %.3fs, %.0f \
            row-visits/s (jobs=%d, chunk-rows=%d)\n"
-          stats.Migrate.rows_in stats.Migrate.rows_out stats.Migrate.ops
+          stats.Migrate.rows_in
+          (* the rows written: cross-chunk duplicates counted once *)
+          (Idb.fold (fun _ r n -> n + Irel.cardinality r) idb 0)
+          stats.Migrate.ops
           stats.Migrate.chunks_in stats.Migrate.elapsed_s
           (float_of_int stats.Migrate.row_visits
           /. Float.max 1e-9 stats.Migrate.elapsed_s)

@@ -21,9 +21,9 @@ module type SCHEMA_VIEW = sig
   val atts : rel -> name array
 
   val group_names : rel -> name -> name list
-  (** The relation names [℘] over this column would create, in
-      {!Relational.Value.compare} order of their classes (see
-      {!Relational.Relation.classes}). *)
+  (** The relation names [℘] over this column would create: the printed
+      forms of its distinct non-null values, in {!Relational.Value.compare}
+      order. *)
 end
 
 module Make (V : SCHEMA_VIEW) : sig

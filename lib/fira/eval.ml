@@ -259,8 +259,5 @@ let apply registry op db = apply_with ~semantics:`Full registry op db
 let apply_syntactic registry op db =
   apply_with ~semantics:`Syntactic registry op db
 
-let apply_delta registry op db =
-  apply_with_delta ~semantics:`Full registry op db
-
 let apply_syntactic_delta registry op db =
   apply_with_delta ~semantics:`Syntactic registry op db

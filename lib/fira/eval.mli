@@ -11,10 +11,9 @@ val applicable : Semfun.registry -> Op.t -> Database.t -> bool
 
 val explain_inapplicable : Semfun.registry -> Op.t -> Database.t -> string option
 (** [None] when applicable, otherwise a human-readable reason: the one
-    check of {!Applicability} over the boxed database. ℘'s group names
-    follow {!Relational.Relation.classes}: one group per
-    {!Relational.Value.compare} class of the column's non-null values,
-    named by the class's first value in canonical row order. *)
+    check of {!Applicability} over the boxed database. ℘ makes one group
+    per distinct non-null value of the column
+    ({!Relational.Relation.partition}), named by its printed form. *)
 
 val apply : Semfun.registry -> Op.t -> Database.t -> Database.t
 (** Apply one operator. λ applications use {!Semfun.apply} (implementation
@@ -55,9 +54,6 @@ val apply_with_delta :
 (** Apply one operator and report what changed. [apply_with_delta] is the
     primitive; {!apply} and {!apply_syntactic} discard the delta.
     @raise Error when the operator is not applicable. *)
-
-val apply_delta : Semfun.registry -> Op.t -> Database.t -> Database.t * delta
-(** [apply_with_delta ~semantics:`Full]. *)
 
 val apply_syntactic_delta :
   Semfun.registry -> Op.t -> Database.t -> Database.t * delta

@@ -1,10 +1,8 @@
 type t = Op.t list
 
-let empty = []
 let of_ops ops = ops
 let ops e = e
 let length = List.length
-let append e op = e @ [ op ]
 let compose f g = f @ g
 let equal a b = List.length a = List.length b && List.for_all2 Op.equal a b
 

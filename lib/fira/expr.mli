@@ -9,11 +9,9 @@ open Relational
 
 type t
 
-val empty : t
 val of_ops : Op.t list -> t
 val ops : t -> Op.t list
 val length : t -> int
-val append : t -> Op.t -> t
 val compose : t -> t -> t
 (** [compose f g] applies [f] first, then [g]. *)
 

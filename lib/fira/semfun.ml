@@ -32,7 +32,6 @@ let name f = f.name
 let arity f = f.arity
 let examples f = f.examples
 let signature f = f.signature
-let has_impl f = f.impl <> None
 
 let check_arity f ins =
   if List.length ins <> f.arity then
@@ -71,7 +70,6 @@ let find_exn reg n =
   | Some f -> f
   | None -> error "semfun: unknown function %S" n
 
-let names reg = List.map fst (M.bindings reg)
 let of_list fs = List.fold_left register empty_registry fs
 let to_list reg = List.map snd (M.bindings reg)
 

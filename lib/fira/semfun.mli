@@ -40,7 +40,6 @@ val name : t -> string
 val arity : t -> int
 val examples : t -> (Value.t list * Value.t) list
 val signature : t -> (string list * string) option
-val has_impl : t -> bool
 
 val apply : t -> Value.t list -> Value.t
 (** Evaluate on concrete inputs: the implementation if present, otherwise
@@ -64,7 +63,6 @@ val find : registry -> string -> t option
 val find_exn : registry -> string -> t
 (** @raise Error if absent. *)
 
-val names : registry -> string list
 val of_list : t list -> registry
 val to_list : registry -> t list
 

@@ -29,14 +29,6 @@ let empty =
 let incr m k =
   Counts.update k (function None -> Some 1 | Some c -> Some (c + 1)) m
 
-let decr m k =
-  Counts.update k
-    (function
-      | None -> invalid_arg "Profile: removing a triple that is not present"
-      | Some 1 -> None
-      | Some c -> Some (c - 1))
-    m
-
 let add_id_triple p ((r, a, v) as triple) =
   {
     rel_counts = incr p.rel_counts r;
@@ -45,23 +37,12 @@ let add_id_triple p ((r, a, v) as triple) =
     vector = Vector.add_id p.vector triple;
   }
 
-let remove_id_triple p ((r, a, v) as triple) =
-  {
-    rel_counts = decr p.rel_counts r;
-    att_counts = decr p.att_counts a;
-    val_counts = decr p.val_counts v;
-    vector = Vector.remove_id p.vector triple;
-  }
-
 let intern_triple (r, a, v) =
   (Intern.string_id r, Intern.string_id a, Intern.string_id v)
 
 let add_triple p triple = add_id_triple p (intern_triple triple)
-let remove_triple p triple = remove_id_triple p (intern_triple triple)
 let add_triples p triples = List.fold_left add_triple p triples
-let remove_triples p triples = List.fold_left remove_triple p triples
 let add_id_triples p triples = List.fold_left add_id_triple p triples
-let remove_id_triples p triples = List.fold_left remove_id_triple p triples
 let of_triples triples = add_triples empty triples
 
 let relation_triples name rel =
@@ -293,7 +274,6 @@ let of_idb idb =
     (fun name rel acc -> add_id_triples acc (irel_triples name rel))
     idb empty
 
-let of_tnf tnf = of_triples (Tnf.triples tnf)
 let rel_counts p = p.rel_counts
 let att_counts p = p.att_counts
 let val_counts p = p.val_counts
@@ -304,7 +284,6 @@ let names counts =
     (fun k _ s -> Strings.add (Intern.string_of_id k) s)
     counts Strings.empty
 
-let rels p = names p.rel_counts
 let atts p = names p.att_counts
 let values p = names p.val_counts
 
@@ -331,10 +310,6 @@ let str p =
       done)
     cells;
   Buffer.contents buf
-
-let size p =
-  Counts.cardinal p.rel_counts + Counts.cardinal p.att_counts
-  + Counts.cardinal p.val_counts
 
 let equal p q =
   Vector.equal p.vector q.vector

@@ -4,8 +4,8 @@
     projections on REL / ATT / VALUE, its (REL, ATT, VALUE) triples as a
     term vector, and its sorted cell string. The projections are stored as
     multiplicity maps so a successor's profile can be maintained
-    incrementally from its parent's — {!remove_triples} for the cells an ℒ
-    operator deleted, {!add_triples} for the cells it created — in O(cells
+    incrementally from its parent's by {!apply_idelta} — the cells an ℒ
+    operator deleted come out, the cells it created go in — in O(cells
     changed) instead of O(database). A delta-maintained profile is
     structurally {!equal} to one rebuilt from scratch.
 
@@ -33,9 +33,6 @@ val of_idb : Idb.t -> t
 (** Interned mirror of {!of_database}: [of_idb (Idb.of_database db)] is
     {!equal} to [of_database db]. *)
 
-val of_tnf : Relation.t -> t
-(** Built from an explicit TNF relation. *)
-
 (** {1 Incremental maintenance} *)
 
 val relation_triples : string -> Relation.t -> (string * string * string) list
@@ -51,12 +48,7 @@ val irel_triples : int -> Irel.t -> (int * int * int) list
 
 val add_triples : t -> (string * string * string) list -> t
 
-val remove_triples : t -> (string * string * string) list -> t
-(** @raise Invalid_argument when removing a triple the profile does not
-    contain (a delta-bookkeeping bug, never a data condition). *)
-
 val add_id_triples : t -> (int * int * int) list -> t
-val remove_id_triples : t -> (int * int * int) list -> t
 
 val apply_idelta :
   t -> removed:(int * Irel.t) list -> added:(int * Irel.t) list -> t
@@ -107,10 +99,9 @@ val rel_counts : t -> int Counts.t
 val att_counts : t -> int Counts.t
 val val_counts : t -> int Counts.t
 
-val rels : t -> Strings.t
-(** π{_REL} as a string set, derived from {!rel_counts}. O(n). *)
-
 val atts : t -> Strings.t
+(** π{_ATT} as a string set, derived from {!att_counts}. O(n). *)
+
 val values : t -> Strings.t
 
 val vector : t -> Vector.t
@@ -120,9 +111,5 @@ val str : t -> string
 (** The paper's [string(d)] for the Levenshtein heuristic: cells sorted by
     string triple, components and cells '\x01'-separated (injective on
     triple multisets). Derived on demand, O(cells log cells). *)
-
-val size : t -> int
-(** Total distinct names and values; proportional to the paper's |s| and
-    |t| instance-size measure. *)
 
 val equal : t -> t -> bool

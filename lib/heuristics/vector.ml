@@ -59,7 +59,6 @@ let extern_key (r, a, v) =
 let add v key = add_id v (intern_key key)
 let remove v key = remove_id v (intern_key key)
 let of_triples triples = List.fold_left add empty triples
-let cardinality v = M.cardinal v.counts
 let sq_norm v = v.sq_norm
 
 let count v key =

@@ -44,9 +44,6 @@ val remove_id_n : t -> int * int * int -> int -> t
 (** [remove_id_n v key n] decrements one coordinate by [n ≥ 0].
     @raise Invalid_argument if the coordinate holds fewer than [n]. *)
 
-val cardinality : t -> int
-(** Number of non-zero coordinates. *)
-
 val equal : t -> t -> bool
 
 val fold : (string * string * string -> int -> 'a -> 'a) -> t -> 'a -> 'a

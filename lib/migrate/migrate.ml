@@ -22,10 +22,9 @@
      fixpoint is order-dependent, so replicating the boxed feeding order
      is what keeps chunked ≡ sequential. Unique-key rows stay in their
      chunks; if no key repeats the chunks are shared as they are.
-   - ℘ (partition): per-chunk partitions are regrouped by key value
-     equivalence class (Relation.classes, the grouping rule every
-     evaluator shares); a class's chunk-groups simply become the chunks
-     of the output relation.
+   - ℘ (partition): per-chunk partitions are regrouped by key value id;
+     a key's chunk-groups simply become the chunks of the output
+     relation.
    - − (diff): the right side is materialized once as a sorted row
      array; left chunks filter against it by binary search, in parallel.
    - ∪ (union): chunk-list concatenation (right chunks permuted onto the
@@ -38,15 +37,7 @@
    lives for one ingest, and each full chunk is canonicalized by
    Irel.of_cols. A cell the memo misses is guessed and interned there
    and then, in row-major order, so value ids are issued as they would
-   be without the memo.
-
-   Equivalence caveat (documented in DESIGN.md): when Value.compare-equal
-   but structurally distinct values collide (Int 1 vs Float 1.0), the
-   surviving representative under chunked dedup/regroup may differ from
-   the sequential pick. No CSV-ingested or fuzz-generated instance mixes
-   the two spellings of one number in a colliding position; the qcheck
-   equivalence property runs over shapes where the results are exactly
-   canonically equal. *)
+   be without the memo. *)
 
 open Relational
 module Op = Fira.Op
@@ -160,13 +151,10 @@ module Chunked_check = Fira.Applicability.Make (struct
   let arity r = Array.length r.Cdb.catts
   let atts r = r.Cdb.catts
 
-  (* Each chunk's class keys, regrouped in chunk order: a class is named
-     by its first value in the first chunk holding it. *)
   let group_names r col =
     List.concat_map (fun c -> Irel.partition_keys c col) r.Cdb.cchunks
-    |> List.map (fun k -> (k, ()))
-    |> Relation.classes Intern.compare_values
-    |> List.map (fun (k, _) -> Intern.value_str_id k)
+    |> List.sort_uniq Intern.compare_values
+    |> List.map Intern.value_str_id
 end)
 
 let cexplain_inapplicable = Chunked_check.explain_inapplicable
@@ -322,16 +310,24 @@ let apply_op cfg registry pool op cdb =
       if chunks == r.Cdb.cchunks then cdb (* no key repeats: chunks shared *)
       else replace rel (Cdb.crel r.Cdb.catts chunks)
   | Op.Partition { rel; col } ->
-      (* Each chunk's classes, regrouped in chunk order by the shared rule
-         (as the check names them); a class's chunk-groups become the
-         chunks of its output relation. *)
+      (* Each chunk's groups, regrouped by key in chunk order; a key's
+         chunk-groups become the chunks of its output relation. Keys are
+         added in Value.compare order, as the sequential evaluators do. *)
       let r = find rel in
+      let parts = pmap (fun c -> Irel.partition c (id col)) r.Cdb.cchunks in
+      let groups = Hashtbl.create 16 in
+      List.iter
+        (List.iter (fun (v, g) ->
+             let gs = Option.value ~default:[] (Hashtbl.find_opt groups v) in
+             Hashtbl.replace groups v (g :: gs)))
+        (List.rev parts);
       List.fold_left
-        (fun cdb (v, gs) ->
-          Cdb.add cdb (Intern.value_str_id v) (Cdb.crel r.Cdb.catts gs))
+        (fun cdb v ->
+          Cdb.add cdb (Intern.value_str_id v)
+            (Cdb.crel r.Cdb.catts (Hashtbl.find groups v)))
         (Cdb.remove cdb (id rel))
-        (Relation.classes Intern.compare_values
-           (List.concat (pmap (fun c -> Irel.partition c (id col)) r.Cdb.cchunks)))
+        (List.sort_uniq Intern.compare_values
+           (List.concat_map (List.map fst) parts))
   | Op.Product { left; right; out } ->
       let l = find left and rt = find right in
       let catts' = Array.append l.Cdb.catts rt.Cdb.catts in

@@ -18,17 +18,14 @@
     value's printed form with {!Irel.merge_chunks} (the kernel of
     {!Irel.merge}: a repeated key becomes its lub row unless a column
     conflicts, and only then runs the greedy fixpoint), ℘ groups them
-    by the key's {!Value.compare} class, − probes a
+    by the key value, − probes a
     sorted materialization of the right side, ∪ concatenates chunk
     lists, and ⋈ (never emitted by discovery)
     coalesces and delegates to the boxed implementation. Chunks stay
     canonical internally but may duplicate rows {e across} chunks;
     {!Cdb.to_idb} performs the final global canonicalization. The result
-    is canonically equal ({!Idb.canonical_equal}) to sequential
-    {!Fira.Eval} — property-tested over random (DB, program) pairs —
-    with one caveat: when {!Value.compare}-equal but distinct values
-    (Int 1 vs Float 1.0) collide, the surviving representative may
-    differ from the sequential pick. See DESIGN.md, "Bulk migration". *)
+    is equal, id for id, to sequential {!Fira.Eval} — property-tested
+    over random (DB, program) pairs. See DESIGN.md, "Bulk migration". *)
 
 open Relational
 
@@ -118,9 +115,8 @@ val run :
     [migrate.op.<kind>] timer, all inside a [migrate] span.
     @raise Error when a step is inapplicable: the {!Fira.Applicability}
     check over the chunked form, so the reason string is
-    {!Fira.Eval.explain_inapplicable}'s. ℘ names its groups by the same
-    rule ({!Relational.Relation.classes}), taking a class's first value in
-    chunk order.
+    {!Fira.Eval.explain_inapplicable}'s. ℘ names each group by its key
+    value's printed form.
     @raise Cancelled when [stop] fires between operators or phases. *)
 
 val run_idb :

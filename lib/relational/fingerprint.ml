@@ -89,10 +89,9 @@ let[@inline] fnv_int h n =
 let fnv1a64 s = fnv_string fnv_offset s
 
 (* Cell payload: a type tag byte followed by a value encoding that induces
-   exactly [canonical_key]'s equivalence — ints and bools hash their bits
-   (bijective with their printed form), floats hash the printed form
-   itself because the printer is lossy ([string_of_float] rounds), and
-   strings hash their bytes. *)
+   exactly [canonical_key]'s equivalence, which is value identity — ints
+   and bools hash their bits (bijective with their printed form), floats
+   their lossless printed form, and strings their bytes. *)
 let value_fnv h v =
   match (v : Value.t) with
   | Null -> fnv_char h 'N'
@@ -101,17 +100,15 @@ let value_fnv h v =
   | Float _ -> fnv_string (fnv_char h 'F') (Value.to_string v)
   | String s -> fnv_string (fnv_char h 'S') s
 
-(* [value_fnv h (Value.of_string_guess (String.sub s off len))], given
-   the slice's guess: the same tags and bytes, without the value. *)
-let[@inline] guess_fnv h (g : Value.guess) s off len =
-  match g with
+(* [value_fnv h (Value.of_string_guess (String.sub s off len))]: the
+   same tags and bytes, without the value. *)
+let[@inline] cell_fnv h s off len =
+  match Value.guess s off len with
   | G_null -> fnv_char h 'N'
   | G_bool b -> fnv_char (fnv_char h 'B') (if b then '\x01' else '\x00')
   | G_int n -> fnv_int (fnv_char h 'I') n
   | G_float f -> fnv_string (fnv_char h 'F') (Value.to_string (Float f))
   | G_string -> fnv_sub (fnv_char h 'S') s off len
-
-let cell_fnv h s off len = guess_fnv h (Value.guess s off len) s off len
 
 (* Element hash: both lanes from one FNV pass. *)
 let[@inline] lanes h =
@@ -234,15 +231,11 @@ module Termset = struct
       probe (Int64.to_int a land (n - 1))
 end
 
-type csv_term = { term : t; schema_term : t; built : Relation.t option }
-
-exception Float_cell
+type csv_term = { term : t; schema_term : t }
 
 (* Rows are a set: a row counts once however often it is listed. Two
-   cells [Value.compare] holds equal hash alike unless one is a [Float]
-   ([1] and [1.0], [0.0] and [-0.0], ints past 2^53), so deduplicating
-   by term is exact for every relation without a float cell; such a
-   relation is built and fingerprinted the boxed way instead. *)
+   cells hash alike exactly when they are one value, so deduplicating by
+   term is exact (up to hash collisions). *)
 let of_csv ?max_bytes ~rel doc =
   let ra, rb = rel_elem rel in
   (* lanes of the current row's cell sum, then of the distinct rows' sum *)
@@ -259,14 +252,11 @@ let of_csv ?max_bytes ~rel doc =
                (Schema.attributes schema));
         schema_term := of_schema ~rel schema)
       ~on_cell:(fun i s off len ->
-        match Value.guess s off len with
-        | G_float _ -> raise_notrace Float_cell
-        | g ->
-            let prefix = Array.unsafe_get !prefixes i in
-            let ea = mix64 (guess_fnv prefix g s off len) in
-            let eb = mix64 (Int64.logxor ea lane_salt) in
-            set64 acc 0 (Int64.add (get64 acc 0) ea);
-            set64 acc 8 (Int64.add (get64 acc 8) eb))
+        let prefix = Array.unsafe_get !prefixes i in
+        let ea = mix64 (cell_fnv prefix s off len) in
+        let eb = mix64 (Int64.logxor ea lane_salt) in
+        set64 acc 0 (Int64.add (get64 acc 0) ea);
+        set64 acc 8 (Int64.add (get64 acc 8) eb))
       ~on_row:(fun () ->
         let a = mix64 (Int64.add (get64 acc 0) ra) in
         let b = mix64 (Int64.add (get64 acc 8) rb) in
@@ -281,20 +271,7 @@ let of_csv ?max_bytes ~rel doc =
       {
         term = combine !schema_term { a = get64 acc 16; b = get64 acc 24 };
         schema_term = !schema_term;
-        built = None;
       }
-  | exception Float_cell ->
-      let r = Csv.parse_relation ?max_bytes doc in
-      {
-        term = of_relation ~rel r;
-        schema_term = of_schema ~rel (Relation.schema r);
-        built = Some r;
-      }
-
-let add_relation fp ~rel r = combine fp (of_relation ~rel r)
-let remove_relation fp ~rel r = remove fp (of_relation ~rel r)
-let add_row fp ~rel schema row = combine fp (of_row ~rel schema row)
-let remove_row fp ~rel schema row = remove fp (of_row ~rel schema row)
 
 (* The interned columnar representation (Intern/Irel) recomputes these
    exact terms over cached per-column lane arrays; it must stay

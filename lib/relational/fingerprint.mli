@@ -11,9 +11,10 @@
     Construction (see DESIGN.md, "State fingerprinting"):
     - cell hash: FNV-1a 64 over [att '\x1f' tag value-bytes] — a type tag
       byte plus a value encoding that induces exactly
-      {!Database.canonical_key}'s cell equivalence (ints and bools hash
-      their bits, floats their printed form, strings their bytes; nulls
-      included, matching canonical_key's null cells) — finalized with a
+      {!Database.canonical_key}'s cell equivalence, which is value identity
+      (ints and bools hash their bits, floats their lossless printed form,
+      strings their bytes; nulls included, matching canonical_key's null
+      cells) — finalized with a
       splitmix64 mixer; the second lane re-mixes with an independent salt.
       The whole encoding is hashed as one continued FNV fold, with no
       intermediate allocation.
@@ -79,33 +80,19 @@ val of_database : Database.t -> t
 type csv_term = {
   term : t;  (** [of_relation ~rel (Csv.parse_relation doc)] *)
   schema_term : t;  (** {!of_schema} of that relation *)
-  built : Relation.t option;
-      (** the relation, when it had to be built (see {!of_csv}) *)
 }
 
 val of_csv : ?max_bytes:int -> rel:string -> string -> csv_term
 (** The terms of relation [rel] given as a CSV document, bit-identical
     to those of [Csv.parse_relation ?max_bytes doc], computed while
     tokenizing: no relation, row or cell value is built, and a repeated
-    row counts once. A relation holding a [Float] cell is the exception:
-    [Value.compare] equates some floats whose terms differ ([1] and
-    [1.0], [0.0] and [-0.0]), so that relation is built with
-    [Csv.parse_relation] and fingerprinted with {!of_relation}, and
-    [built] holds it. @raise Csv.Error exactly as [Csv.parse_relation]. *)
+    row counts once. @raise Csv.Error exactly as [Csv.parse_relation]. *)
 
 val cell_fnv : int64 -> string -> int -> int -> int64
 (** [cell_fnv h s off len] continues an FNV fold with the cell
     [s.[off] .. s.[off + len - 1]] as a guessed value:
     [Hashing.value_fnv h (Value.of_string_guess (String.sub s off len))],
     without building the value. *)
-
-(** {1 Incremental updates} *)
-
-val add_relation : t -> rel:string -> Relation.t -> t
-val remove_relation : t -> rel:string -> Relation.t -> t
-
-val add_row : t -> rel:string -> Schema.t -> Row.t -> t
-val remove_row : t -> rel:string -> Schema.t -> Row.t -> t
 
 (** {1 Hashing primitives}
 

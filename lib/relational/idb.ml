@@ -7,7 +7,6 @@ type entry = { name : int; rel : Irel.t }
 type t = entry array
 
 let empty : t = [||]
-let size (t : t) = Array.length t
 
 let find_index (t : t) name =
   let n = Array.length t in
@@ -105,16 +104,6 @@ let equal (a : t) (b : t) =
      && Array.for_all2
           (fun ea eb ->
             ea == eb || (ea.name = eb.name && Irel.equal ea.rel eb.rel))
-          a b
-
-(* Canonical-key equality, for the fingerprint-collision fallback. *)
-let canonical_equal (a : t) (b : t) =
-  a == b
-  || Array.length a = Array.length b
-     && Array.for_all2
-          (fun ea eb ->
-            ea == eb
-            || (ea.name = eb.name && Irel.canonical_equal ea.rel eb.rel))
           a b
 
 (* Database.contains: every relation of [small] is contained (Relation.

@@ -7,7 +7,6 @@
 type t
 
 val empty : t
-val size : t -> int
 val find_opt : t -> int -> Irel.t option
 
 val find : t -> int -> Irel.t
@@ -40,11 +39,6 @@ val fingerprint : t -> Fingerprint.t
 
 val equal : t -> t -> bool
 (** {!Database.equal}. *)
-
-val canonical_equal : t -> t -> bool
-(** {!Database.canonical_key} equality up to reordering of
-    {!Value.compare}-equal rows (the fingerprint-collision fallback's
-    notion of "same state"). *)
 
 val contains : t -> t -> bool
 (** {!Database.contains}. *)

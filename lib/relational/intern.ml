@@ -2,7 +2,7 @@
 
    The search hot path (Irel/Idb, Moves, Heuristics) works over dense int
    ids instead of boxed strings and values: id equality is string (resp.
-   structural value) equality, and every per-string derived quantity the
+   [Value.equal]) equality, and every per-string derived quantity the
    fingerprint needs — the attribute cell prefix, the element lanes — is
    computed once at interning time and then read with plain array loads.
 
@@ -41,16 +41,8 @@ type str_entry = {
 type val_entry = {
   value : Value.t;
   vstr : int;  (* string id of [Value.to_string value] *)
-  tag : int;  (* constructor tag: canonical-key cell type *)
   null : bool;
 }
-
-let value_tag = function
-  | Value.Null -> 0
-  | Value.Bool _ -> 1
-  | Value.Int _ -> 2
-  | Value.Float _ -> 3
-  | Value.String _ -> 4
 
 let mutex = Mutex.create ()
 
@@ -63,7 +55,7 @@ let dummy_str =
     as_value = -1;
   }
 
-let dummy_val = { value = Value.Null; vstr = 0; tag = 0; null = true }
+let dummy_val = { value = Value.Null; vstr = 0; null = true }
 
 (* One pool: an entry per id, ids dense in first-intern order, and the
    open-addressing key index over them. Inserts hold [mutex]. *)
@@ -156,37 +148,16 @@ module Strings = Pool (struct
   let hash (s : string) = Hashtbl.hash s
 end)
 
-(* Structural identity: one id per distinct representation. Floats are
-   keyed by their bits so the pool never conflates values the canonical
-   key distinguishes; note this is FINER than [Value.compare] (Int 1 and
-   Float 1.0 get distinct ids, and compare equal), which is why the
-   comparison helpers below go through [Value.compare] rather than id
-   equality. A float hashes by value, not by boxed bits, so a hit
-   allocates nothing: 0.0 and -0.0 (and all NaNs) share a hash and are
-   told apart by [equal]. *)
+(* One id per value: id equality is [Value.equal], which is also
+   [Value.compare] = 0 and printed-form equality. *)
 module Values = Pool (struct
   type key = Value.t
   type entry = val_entry
 
   let dummy = dummy_val
   let key e = e.value
-
-  let equal a b =
-    match (a, b) with
-    | Value.Null, Value.Null -> true
-    | Value.Bool x, Value.Bool y -> Bool.equal x y
-    | Value.Int x, Value.Int y -> Int.equal x y
-    | Value.Float x, Value.Float y ->
-        Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-    | Value.String x, Value.String y -> String.equal x y
-    | _ -> false
-
-  let hash = function
-    | Value.Null -> 17
-    | Value.Bool b -> Hashtbl.hash b
-    | Value.Int n -> Hashtbl.hash n
-    | Value.Float f -> Hashtbl.hash f
-    | Value.String s -> Hashtbl.hash s
+  let equal = Value.equal
+  let hash = Value.hash
 end)
 
 let new_str_entry s =
@@ -199,7 +170,6 @@ let new_val_entry v =
   {
     value = v;
     vstr = Strings.intern_locked new_str_entry (Value.to_string v);
-    tag = value_tag v;
     null = Value.is_null v;
   }
 
@@ -208,7 +178,6 @@ let value_id v = Values.intern new_val_entry v
 let str_entry id = (Atomic.get Strings.entries).(id)
 let val_entry id = (Atomic.get Values.entries).(id)
 let string_of_id id = (str_entry id).str
-let string_prefix id = (str_entry id).prefix
 
 let string_lanes id =
   let e = str_entry id in
@@ -227,7 +196,6 @@ let string_value_id id =
 
 let value_of_id id = (val_entry id).value
 let value_str_id id = (val_entry id).vstr
-let value_tag_id id = (val_entry id).tag
 let value_is_null id = (val_entry id).null
 
 (* Pre-interned constants. [empty_string_id] backs the [usable_column_name]
@@ -258,18 +226,8 @@ let cell_lane_a att_id v_id =
 let compare_values a b =
   if a = b then 0 else Value.compare (value_of_id a) (value_of_id b)
 
-let equal_values a b = a = b || compare_values a b = 0
-
 let compare_strings a b =
   if a = b then 0 else String.compare (string_of_id a) (string_of_id b)
-
-(* Canonical-key cell equivalence: type tag plus printed form. Coarser than
-   id equality only for floats whose 12-digit printed forms coincide. *)
-let canonical_equal_values a b =
-  a = b
-  ||
-  let ea = val_entry a and eb = val_entry b in
-  ea.tag = eb.tag && ea.vstr = eb.vstr
 
 let size () =
   Mutex.lock mutex;

@@ -14,12 +14,8 @@
 
     Identity:
     - string ids: one per distinct string; id equality ⟺ string equality.
-    - value ids: one per distinct {e structural} value (floats keyed by
-      their bits). Id equality implies {!Value.equal}, but NOT conversely:
-      [Int 1] and [Float 1.0] compare equal under {!Value.compare} while
-      holding distinct ids. Every comparison on the hot path therefore goes
-      through {!compare_values}/{!equal_values}, which mirror
-      {!Value.compare} exactly (with an id fast path).
+    - value ids: one per value; id equality ⟺ {!Value.equal} ⟺
+      [Value.compare] = 0 ⟺ same type and printed form.
 
     The pools are process-global and append-only (never shrunk): a
     deliberate trade-off for the long-running discovery server. *)
@@ -29,10 +25,6 @@
 val string_id : string -> int
 val string_of_id : int -> string
 
-val string_prefix : int -> int64
-(** Cached FNV state of [str '\x1f'] — the per-attribute cell-hash prefix
-    of {!Fingerprint.of_relation}. *)
-
 val string_lanes : int -> int64 * int64
 (** Cached {!Fingerprint.Hashing.elem} of the string. *)
 
@@ -41,7 +33,8 @@ val string_value_id : int -> int
 
 val cell_lane_a : int -> int -> int64
 (** [cell_lane_a att v] is the first fingerprint cell lane
-    [mix64 (value_fnv (string_prefix att) (value_of_id v))]. Not memoized:
+    [mix64 (value_fnv prefix (value_of_id v))], [prefix] the FNV state of
+    the attribute name and ['\x1f'], cached on its entry. Not memoized:
     {!Irel} caches lanes per column, where sibling states share them. A
     float hashes the entry's cached printed form, so no value is printed
     again. *)
@@ -56,28 +49,17 @@ val value_of_id : int -> Value.t
 val value_str_id : int -> int
 (** String id of [Value.to_string v]. *)
 
-val value_tag_id : int -> int
-(** Constructor tag (Null 0, Bool 1, Int 2, Float 3, String 4) — the
-    canonical key's cell type. *)
-
 val value_is_null : int -> bool
 val null_value_id : int
 
 (** {1 Comparisons} *)
 
 val compare_values : int -> int -> int
-(** Exactly {!Value.compare} on the underlying values (id fast path).
-    Distinct ids can compare equal (mixed-type numerics). *)
-
-val equal_values : int -> int -> bool
+(** Exactly {!Value.compare} on the underlying values (id fast path);
+    0 only on equal ids. *)
 
 val compare_strings : int -> int -> int
 (** [String.compare] on contents. *)
-
-val canonical_equal_values : int -> int -> bool
-(** {!Database.canonical_key} cell equivalence: same type tag and printed
-    form. Implied by id equality; coarser only for floats whose printed
-    forms coincide. *)
 
 val size : unit -> int * int
 (** [(distinct strings, distinct values)] interned so far. *)

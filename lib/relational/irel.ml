@@ -12,10 +12,9 @@
    Bit-identity contract: every operator here mirrors the corresponding
    Relation.* implementation step for step — same row production order,
    same List.sort_uniq canonicalization (under Intern.compare_values, which
-   IS Value.compare), same first-seen scans — so converting the result with
-   [to_relation] yields exactly the boxed operator's output, including
-   which representative survives when distinct values compare equal
-   (Int 1 vs Float 1.0). Property-tested in test/test_props.ml.
+   IS Value.compare, and 0 only on equal ids), same first-seen scans — so
+   converting the result with [to_relation] yields exactly the boxed
+   operator's output. Property-tested in test/test_props.ml.
 
    The mutable cache fields follow the repo's benign-race convention
    (see lib/tupelo/state.ml): concurrent domains at worst recompute the
@@ -419,7 +418,7 @@ let compatible a b =
     if i >= n then true
     else
       let x = a.(i) and y = b.(i) in
-      (x = null_id || y = null_id || Intern.equal_values x y) && go (i + 1)
+      (x = null_id || y = null_id || x = y) && go (i + 1)
   in
   go 0
 
@@ -590,9 +589,8 @@ let mu_out p r =
    rest, and so every merge order of the greedy fixpoint ends in the same
    single row: the lub. With at most one non-null id per column the lub
    depends neither on the order rows are fed nor on duplicates. Only a
-   conflicting group — including Int 1 against Float 1.0 in one column,
-   equal values under different ids — runs the fixpoint itself, on its
-   deduplicated canonical rows reversed. *)
+   conflicting group runs the fixpoint itself, on its deduplicated
+   canonical rows reversed. *)
 let mu_plan map chunks ai =
   let chunks = Array.of_list chunks in
   (* Each row's key, overwritten below by its group and then by its
@@ -679,15 +677,10 @@ let mu_plan map chunks ai =
     List.iter (List.iter (fun r -> Bytes.set conflict r '\001')) conflicted;
     let outs = Array.make nrep [] in
     if List.exists (( <> ) []) conflicted then
-      (* Consing chunks first to last, rows last to first, leaves each
-         group's rows last chunk first and each chunk's rows in order.
-         sort_uniq keeps one of two Value.compare-equal rows by its
-         position, so this order fixes which id survives; the oracle
-         property in test/mu_oracle.ml pins it. *)
       Array.iteri
         (fun ci c ->
           let ks = reps.(ci) in
-          for i = c.nrows - 1 downto 0 do
+          for i = 0 to c.nrows - 1 do
             let r = ks.(i) in
             if r >= 0 && Bytes.get conflict r <> '\000' then
               outs.(r) <- row_of c i :: outs.(r)
@@ -711,20 +704,16 @@ let merge r att =
   else
     match mu_plan sequential [ r ] ai with
     | Some p when p.changed ->
-        (* Keys in first-seen order, a unique key as its row: the row
-           order Relation.merge canonicalizes, so the same representative
-           survives among Value.compare-equal rows. *)
+        (* The unique-key rows and each repeated key's merged rows. *)
         let reps = p.reps.(0) in
-        let next = ref 0 and rev_rows = ref [] in
+        let rows = ref [] in
         for i = 0 to r.nrows - 1 do
-          let k = reps.(i) in
-          if k < 0 then rev_rows := row_of r i :: !rev_rows
-          else if k = !next then begin
-            incr next;
-            rev_rows := List.rev_append (mu_out p k) !rev_rows
-          end
+          if reps.(i) < 0 then rows := row_of r i :: !rows
         done;
-        of_rows r.atts (List.rev !rev_rows)
+        for k = 0 to Array.length p.outs - 1 do
+          rows := List.rev_append (mu_out p k) !rows
+        done;
+        of_rows r.atts !rows
     | _ ->
         (* Identity merges (no pair of rows ever collapsed) are common —
            every µ candidate that the pruning rules over-approximate
@@ -734,13 +723,10 @@ let merge r att =
         r
 
 (* The first [n] rows of [cols] as a relation, exactly [of_rows] of those
-   rows in index order. Rows that already increase strictly are shared as
-   they are. Otherwise an index permutation is sorted in [compare_rows]'
-   order, repeats are dropped and the columns gathered — exact whenever
-   every run of compare-equal rows is id-identical, since then it does not
-   matter which of them sort_uniq keeps. A run that mixes ids (Int 1 and
-   Float 1.0, 0.0 and -0.0) is left to of_rows itself, whose survivor
-   depends on the input positions. *)
+   rows. Rows that already increase strictly are shared as they are.
+   Otherwise an index permutation is sorted in [compare_rows]' order,
+   repeats are dropped and the columns gathered: compare-equal rows are
+   id-identical, so it does not matter which of them is kept. *)
 let of_cols atts cols n =
   let arity = Array.length atts in
   if Array.length cols <> arity || n < 0
@@ -755,12 +741,6 @@ let of_cols atts cols n =
       in
       if c <> 0 then c else cmp i i' (j + 1)
   in
-  let rec same_ids i i' j =
-    j >= arity
-    || (let col = Array.unsafe_get cols j in
-        Array.unsafe_get col i = Array.unsafe_get col i')
-       && same_ids i i' (j + 1)
-  in
   let rec increasing i = i >= n || (cmp (i - 1) i 0 < 0 && increasing (i + 1)) in
   if increasing 1 then
     let cut col = if Array.length col = n then col else Array.sub col 0 n in
@@ -768,30 +748,20 @@ let of_cols atts cols n =
   else begin
     let perm = Array.init n Fun.id in
     Array.stable_sort (fun i i' -> cmp i i' 0) perm;
-    (* Keep the first of each run; a mixed run ends the fast path. *)
-    let keep = Array.make n 0 and kept = ref 0 and exact = ref true in
+    let keep = Array.make n 0 and kept = ref 0 in
     Array.iter
       (fun i ->
-        if !kept = 0 then begin
-          keep.(0) <- i;
-          kept := 1
-        end
-        else
-          let last = keep.(!kept - 1) in
-          if cmp last i 0 <> 0 then begin
-            keep.(!kept) <- i;
-            incr kept
-          end
-          else if not (same_ids last i 0) then exact := false)
+        if !kept = 0 || cmp keep.(!kept - 1) i 0 <> 0 then begin
+          keep.(!kept) <- i;
+          incr kept
+        end)
       perm;
-    if !exact then
-      let keep = Array.sub keep 0 !kept in
-      fresh atts
-        (Array.map2
-           (fun att col -> fresh_col att (Array.map (Array.get col) keep))
-           atts cols)
-        !kept
-    else of_rows atts (List.init n (fun i -> Array.map (fun col -> col.(i)) cols))
+    let keep = Array.sub keep 0 !kept in
+    fresh atts
+      (Array.map2
+         (fun att col -> fresh_col att (Array.map (Array.get col) keep))
+         atts cols)
+      !kept
   end
 
 let merge_chunks map ~chunk_rows chunks att =
@@ -871,42 +841,30 @@ let extend_cols r atts cols =
     (Array.append r.cols (Array.map2 fresh_col atts cols))
     r.nrows
 
-let partition_keys r att =
-  let seen = Hashtbl.create 16 in
-  let firsts = ref [] in
-  Array.iter
-    (fun id ->
-      if id <> null_id && not (Hashtbl.mem seen id) then begin
-        Hashtbl.add seen id ();
-        firsts := (id, ()) :: !firsts
-      end)
-    r.cols.(index_of r att).ids;
-  List.map fst (Relation.classes Intern.compare_values (List.rev !firsts))
-
-let partition r att =
-  (* One hashing pass buckets row indices by exact value id, buckets in
-     first-seen row order; [Relation.classes] then merges the buckets of
-     Value.compare-equal ids (mixed numeric spellings only). *)
-  let buckets = Hashtbl.create 16 in
+(* Each distinct non-null id of column [att] with the indices of its
+   rows, ascending, in first-seen order: one bucket per value. *)
+let buckets r att =
+  let tbl = Hashtbl.create 16 in
   let order = ref [] in
   Array.iteri
     (fun i id ->
       if id <> null_id then
-        match Hashtbl.find_opt buckets id with
+        match Hashtbl.find_opt tbl id with
         | Some l -> l := i :: !l
         | None ->
-            Hashtbl.add buckets id (ref [ i ]);
+            Hashtbl.add tbl id (ref [ i ]);
             order := id :: !order)
     r.cols.(index_of r att).ids;
-  List.rev_map (fun id -> (id, List.rev !(Hashtbl.find buckets id))) !order
-  |> Relation.classes Intern.compare_values
-  |> List.map (fun (v, idxs) ->
-         let idxs =
-           match idxs with
-           | [ l ] -> l
-           | ls -> List.sort Int.compare (List.concat ls)
-         in
-         (v, take_idx r (Array.of_list idxs)))
+  (List.sort Intern.compare_values !order, tbl)
+
+let partition_keys r att = fst (buckets r att)
+
+let partition r att =
+  let keys, tbl = buckets r att in
+  List.map
+    (fun id ->
+      (id, take_idx r (Array.of_list (List.rev !(Hashtbl.find tbl id)))))
+    keys
 
 let project_away r att =
   let i = index_of r att in
@@ -974,15 +932,11 @@ let project_rows t atts_order =
       Array.map (fun j -> t.cols.(j).ids.(i)) idx)
 
 (* Same attribute array and the same value id in every cell: the two are
-   one relation, so equal under both equalities below. Columns shared
+   one relation. Columns shared
    physically ([rename_rel]-style sharing, the [project_away]/[rename_att]
    fast paths) cost nothing, and a duplicate built afresh (µ on two
-   columns giving one relation) costs a scan. [false] claims nothing:
-   equal rows may hold other ids (Int 1 / Float 1.0) or sit under another
-   attribute order. Cells are compared by id, not by
-   [Intern.canonical_equal_values]: two floats with one printed form can
-   sort apart once the rows are re-sorted on the sorted attributes, and
-   the canonical key then tells the relations apart. *)
+   columns giving one relation) costs a scan. [false] claims nothing: the
+   same rows may sit under another attribute order. *)
 let same_cells a b =
   let rec cells x y i =
     i < 0 || (Array.unsafe_get x i = Array.unsafe_get y i && cells x y (i - 1))
@@ -994,9 +948,11 @@ let same_cells a b =
        (fun ca cb -> ca.ids == cb.ids || cells ca.ids cb.ids (a.nrows - 1))
        a.cols b.cols
 
-(* Relation.equal: schemas equal as attribute sets, and rows equal (under
-   Value.compare) once both sides are projected onto the sorted attribute
-   order. *)
+(* Relation.equal: schemas equal as attribute sets, and rows equal (id
+   for id) once both sides are projected onto the sorted attribute order.
+   Used by the fingerprint-collision fallback in successor dedup, where
+   nearly every call confirms a true duplicate in the same column layout:
+   that is settled in place, anything else by the sorted projections. *)
 let equal a b =
   a == b || same_cells a b
   || a.nrows = b.nrows
@@ -1007,27 +963,6 @@ let equal a b =
      let norm t = List.sort compare_rows (project_rows t sa) in
      List.equal (fun x y -> compare_rows x y = 0) (norm a) (norm b)
 
-(* Canonical-key equality: like [equal] but cells compared under the
-   canonical type-tagged equivalence (so Int 1 ≠ Float 1.0 here). Used by
-   the fingerprint-collision fallback in successor dedup, where nearly
-   every call confirms a true duplicate in the same column layout: that
-   is settled in place, and anything else by the sorted projections. *)
-let canonical_equal a b =
-  a == b || same_cells a b
-  || a.nrows = b.nrows
-     &&
-     let sa = sorted_atts a and sb = sorted_atts b in
-     List.equal Int.equal sa sb
-     &&
-     let norm t = List.sort compare_rows (project_rows t sa) in
-     List.equal
-       (fun x y ->
-         let n = Array.length x in
-         let rec go i =
-           i >= n || (Intern.canonical_equal_values x.(i) y.(i) && go (i + 1))
-         in
-         go 0)
-       (norm a) (norm b)
 
 (* Relation.contains: small's schema is a subset of big's, and every small
    row occurs among big's rows projected onto small's attribute order. The

@@ -10,7 +10,8 @@
     canonicalization — so [to_relation (op (of_relation r))] equals the
     boxed [op r] exactly, canonical keys and fingerprints included
     (property-tested). Rows are kept sorted and deduplicated under
-    {!Intern.compare_values}, exactly like boxed relation rows. *)
+    {!Intern.compare_values}, exactly like boxed relation rows; two rows
+    are equal exactly when they hold the same ids. *)
 
 type t
 
@@ -23,15 +24,11 @@ val of_rows : int array -> int array list -> t
 val of_cols : int array -> int array array -> int -> t
 (** [of_cols atts cols n]: the first [n] rows of the columns [cols] (one
     value-id array per attribute, each at least [n] long), exactly
-    [of_rows atts] of those rows in index order, id for id. Rows that
-    already increase strictly share the columns (when they are [n] long).
-    Otherwise an index permutation is sorted, repeats are dropped and the
-    columns gathered, with no row array built. That is exact only when
-    every run of compare-equal rows is id-identical: [List.sort_uniq]
-    does not keep the first of equal rows (of three equal rows it can
-    keep the middle one), so a run that mixes ids ([Int 0] / [Float 0.0]
-    / [Float (-0.0)]) falls back to [of_rows] on the rows in index order.
-    The columns are not mutated; do not mutate them afterwards.
+    [of_rows atts] of those rows, id for id. Rows that already increase
+    strictly share the columns (when they are [n] long). Otherwise an
+    index permutation is sorted, repeats are dropped and the columns
+    gathered, with no row array built. The columns are not mutated; do
+    not mutate them afterwards.
     @raise Invalid_argument on a column count other than [atts]' or a
     column shorter than [n]. *)
 
@@ -138,14 +135,13 @@ val merge_chunks : map -> chunk_rows:int -> t list -> int -> t list
     unique key (shared physically where every key is unique), then the
     merged rows of the repeated keys in first-seen key order, in chunks
     of at most [chunk_rows]. Its rows, deduplicated, are exactly
-    {!merge} of the chunks' union, up to which of two
-    {!Value.compare}-equal rows with different ids is kept. Returns
-    [chunks] physically when no key repeats. [map] runs the per-chunk
+    {!merge} of the chunks' union, id for id. Returns [chunks]
+    physically when no key repeats. [map] runs the per-chunk
     key, filter and sort passes. *)
 
 val partition : t -> int -> (int * t) list
-(** {!Relation.partition}: (key value id, group) pairs, one per
-    {!Value.compare} class of non-null column values. *)
+(** {!Relation.partition}: (key value id, group) pairs, one per distinct
+    non-null column value, in {!Value.compare} order. *)
 
 val partition_keys : t -> int -> int list
 (** The key value ids of {!partition}, without building the groups. *)
@@ -193,16 +189,11 @@ val slice : t -> off:int -> len:int -> t
 (** {1 Comparison and containment} *)
 
 val equal : t -> t -> bool
-(** {!Relation.equal}: same attribute set, same rows under
-    {!Value.compare} once projected onto the sorted attribute order. *)
-
-val canonical_equal : t -> t -> bool
-(** {!Database.canonical_key} equality: like {!equal} but with
-    type-tagged cell equivalence (Int 1 ≠ Float 1.0). Two relations with
-    the same attribute array are first compared column by column in
-    place; the same value id in every cell is [true]. Any other case, a
-    mismatch included, compares the rows sorted on the sorted attribute
-    order. {!equal} takes the same first step. *)
+(** {!Relation.equal}: same attribute set, and the same rows, id for id,
+    once projected onto the sorted attribute order; equivalently, equal
+    {!Database.canonical_key}s. Two relations with the same attribute
+    array are first compared column by column in place; the same value
+    id in every cell is [true]. *)
 
 val contains : t -> t -> bool
 (** {!Relation.contains}; the sorted projection of the big side is cached

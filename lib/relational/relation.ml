@@ -231,16 +231,6 @@ let merge r att =
   in
   { r with rows = canonicalize rows' }
 
-let classes compare keyed =
-  List.fold_left
-    (fun acc (k, x) ->
-      match acc with
-      | (k0, xs) :: rest when compare k0 k = 0 -> (k0, x :: xs) :: rest
-      | _ -> (k, [ x ]) :: acc)
-    []
-    (List.stable_sort (fun (a, _) (b, _) -> compare a b) keyed)
-  |> List.rev_map (fun (k, xs) -> (k, List.rev xs))
-
 let partition r att =
   let ai = Schema.index_of r.schema att in
   List.filter_map
@@ -248,8 +238,14 @@ let partition r att =
       let v = Row.cell row ai in
       if Value.is_null v then None else Some (v, row))
     r.rows
-  |> classes Value.compare
-  |> List.map (fun (v, rows) -> (v, { r with rows }))
+  |> List.stable_sort (fun (a, _) (b, _) -> Value.compare a b)
+  |> List.fold_left
+       (fun acc (v, row) ->
+         match acc with
+         | (v0, rows) :: rest when Value.equal v0 v -> (v0, row :: rows) :: rest
+         | _ -> (v, [ row ]) :: acc)
+       []
+  |> List.rev_map (fun (v, rows) -> (v, { r with rows = List.rev rows }))
 
 (* ------------------------------------------------------------------ *)
 

@@ -109,18 +109,11 @@ val merge : t -> string -> t
     are {e compatible} — equal or one-sided-null on every other column — by
     their least upper bound, until a fixpoint. *)
 
-val classes : ('k -> 'k -> int) -> ('k * 'a) list -> ('k * 'a list) list
-(** The grouping rule of [℘], shared by every evaluator: one class per
-    [compare]-equal set of keys, classes in [compare] order, each keyed by
-    its {e first} key in input order and holding its payloads in input
-    order. Fed a column in canonical row order, this names the group of
-    [Int 1] and [Float 1.0] by whichever comes first in that order. *)
-
 val partition : t -> string -> (Value.t * t) list
 (** [partition r a] is the per-group content of FIRA's [℘_A(R)]: one
-    sub-relation (with [a] retained) per {!Value.compare} class of
-    non-null values of [a], keyed as {!classes} keys it. The
-    database-level operator names each group by its key. *)
+    sub-relation (with [a] retained) per distinct non-null value of [a],
+    in {!Value.compare} order. The database-level operator names each
+    group by its value's printed form. *)
 
 (** {1 Comparison, hashing, formatting} *)
 

@@ -36,14 +36,13 @@ let accept s tok = if peek s = tok then (advance s; true) else false
 let parse_literal s =
   match peek s with
   | STRING x -> advance s; Value.String x
-  | NUMBER x ->
+  | NUMBER x -> (
       advance s;
-      (match int_of_string_opt x with
-      | Some n -> Value.Int n
-      | None -> (
-          match float_of_string_opt x with
-          | Some f -> Value.Float f
-          | None -> error "sql: bad number %s" x))
+      (* The guess a CSV cell gets, so a literal matches the data's
+         spelling: 1 is an Int, 1.0 a Float. *)
+      match Value.of_string_guess x with
+      | (Value.Int _ | Value.Float _) as v -> v
+      | _ -> error "sql: bad number %s" x)
   | KW "NULL" -> advance s; Value.Null
   | KW "TRUE" -> advance s; Value.Bool true
   | KW "FALSE" -> advance s; Value.Bool false

@@ -97,25 +97,54 @@ let rank = function
   | Int _ | Float _ -> 2
   | String _ -> 3
 
+(* [Int x] against [Float y] by exact value, NaN lowest; a numeric tie
+   puts the Int first. Inside ±2^62, [y] truncates to an int exactly. *)
+let compare_int_float x y =
+  if Float.is_nan y || y < -0x1p62 then 1
+  else if y >= 0x1p62 then -1
+  else
+    let t = Float.to_int y in
+    let c = Int.compare x t in
+    if c <> 0 then c else if y < Float.of_int t then 1 else -1
+
 let compare a b =
   match (a, b) with
   | Null, Null -> 0
   | Bool x, Bool y -> Bool.compare x y
   | Int x, Int y -> Int.compare x y
-  | Float x, Float y -> Float.compare x y
-  | Int x, Float y -> Float.compare (float_of_int x) y
-  | Float x, Int y -> Float.compare x (float_of_int y)
+  | Float x, Float y ->
+      (* All NaNs are one value; -0.0 sorts before 0.0. *)
+      let c = Float.compare x y in
+      if c <> 0 || Float.is_nan x then c
+      else Bool.compare (Float.sign_bit y) (Float.sign_bit x)
+  | Int x, Float y -> compare_int_float x y
+  | Float x, Int y -> -compare_int_float y x
   | String x, String y -> String.compare x y
   | _ -> Int.compare (rank a) (rank b)
 
-let equal a b = compare a b = 0
+let equal a b =
+  match (a, b) with
+  | Null, Null -> true
+  | Bool x, Bool y -> Bool.equal x y
+  | Int x, Int y -> Int.equal x y
+  | Float x, Float y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+      || (Float.is_nan x && Float.is_nan y)
+  | String x, String y -> String.equal x y
+  | _ -> false
 
+(* Hashtbl.hash gives 0.0 and -0.0 (and every NaN) one hash; [equal]
+   tells the zeros apart. A float hashes by value, so hashing allocates
+   nothing. *)
 let hash = function
   | Null -> 17
   | Bool b -> Hashtbl.hash b
   | Int n -> Hashtbl.hash n
   | Float f -> Hashtbl.hash f
   | String s -> Hashtbl.hash s
+
+(* The printf-free float formatter behind [string_of_float]. *)
+external format_float : string -> float -> string = "caml_format_float"
 
 let is_null = function Null -> true | _ -> false
 
@@ -131,10 +160,20 @@ let to_string = function
   | Bool b -> Bool.to_string b
   | Int n -> string_of_int n
   | Float f ->
-      (* Keep a decimal point so the value re-parses as a float. *)
-      let s = string_of_float f in
-      if String.length s > 0 && s.[String.length s - 1] = '.' then s ^ "0"
-      else s
+      (* The shortest of 12, 15, 16 and 17 significant digits that reads
+         back bit for bit, with a decimal point kept so the value
+         re-parses as a float. *)
+      let rec digits = function
+        | [] -> format_float "%.17g" f
+        | fmt :: fmts ->
+            let s = format_float fmt f in
+            if equal (Float (float_of_string s)) (Float f) then s
+            else digits fmts
+      in
+      if Float.is_nan f then "nan"
+      else
+        let s = valid_float_lexem (digits [ "%.12g"; "%.15g"; "%.16g" ]) in
+        if s.[String.length s - 1] = '.' then s ^ "0" else s
   | String s -> s
 
 let to_display = function Null -> "-" | v -> to_string v

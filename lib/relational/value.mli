@@ -4,7 +4,12 @@
     typed atomic values. The ordering is total and type-stratified (nulls,
     then booleans, then numbers, then strings) so that values of mixed type
     can live in one column and still be sorted deterministically — which the
-    canonical state encodings of the search layer rely on. *)
+    canonical state encodings of the search layer rely on.
+
+    Value identity is one relation: [compare a b = 0] ⟺ [equal a b] ⟺
+    same {!type_name} and same {!to_string} ⟺ same {!Intern.value_id}.
+    [Int 1] and [Float 1.0] are distinct values, as are [0.0] and [-0.0];
+    all NaNs are one value. *)
 
 type t =
   | Null
@@ -40,10 +45,14 @@ val guess : string -> int -> int -> guess
 
 val compare : t -> t -> int
 (** Total, type-stratified order: [Null < Bool _ < Int _ ~ Float _ < String _].
-    [Int] and [Float] compare numerically against each other. *)
+    Numbers are ordered by exact value (NaN lowest); a numeric tie puts
+    [Int] before [Float], and [-0.0] before [0.0]. *)
 
 val equal : t -> t -> bool
+(** [compare a b = 0], as a direct structural match. *)
+
 val hash : t -> int
+(** Consistent with {!equal}; allocates nothing. *)
 
 (** {1 Inspection} *)
 
@@ -54,7 +63,10 @@ val type_name : t -> string
 
 val to_string : t -> string
 (** Round-trippable with {!of_string_guess} for non-string payloads;
-    strings are returned verbatim. *)
+    strings are returned verbatim. A float prints with the fewest of 12,
+    15, 16 or 17 significant digits that read back bit for bit, keeping a
+    decimal point (["1.0"], ["-0.0"], ["0.30000000000000004"]); every NaN
+    prints as ["nan"]. *)
 
 val to_display : t -> string
 (** Human-oriented rendering used by table pretty-printers ([Null] shows as

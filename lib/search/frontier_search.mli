@@ -23,7 +23,7 @@
     Every policy shares one dedup table (each key is expanded at most
     once, except for A*'s reopening), one budget seam, one [watch]
     observation and one checkpoint/resume path. The paper's IDA* and
-    RBFS, and IDA+TT, are separate ({!Ida}, {!Rbfs}, {!Ida_tt}). *)
+    RBFS, and IDA+TT, are separate ({!Ida}, {!Rbfs}). *)
 
 type policy = Greedy | Bfs | Astar | Beam of int
 

@@ -1,5 +1,8 @@
 let infinity_cost = max_int
 
+(* Entries the improved-h table holds before it is cleared. *)
+let table_cap = 500_000
+
 module Make (S : Space.S) = struct
   module KT = Hashtbl.Make (S.Key)
 
@@ -11,7 +14,7 @@ module Make (S : Space.S) = struct
     | Cutoff of int  (** least f value beyond the bound *)
 
   let search ?(stop = Space.never_stop) ?(telemetry = Telemetry.disabled)
-      ?(budget = Space.default_budget) ?watch ~heuristic root =
+      ?(budget = Space.default_budget) ?(table = false) ?watch ~heuristic root =
     Space.validate_budget "Ida.search" budget;
     let c = Space.counters () in
     c.iterations_c <- 0;
@@ -25,8 +28,22 @@ module Make (S : Space.S) = struct
     in
     (* Keys of states on the current DFS path, for cycle avoidance. *)
     let on_path : unit KT.t = KT.create 64 in
+    (* With [table]: improved (backed-up) heuristic values, persisted
+       across iterations. *)
+    let improved : int KT.t = KT.create (if table then 4096 else 1) in
+    let h_eff state =
+      if not table then heuristic state
+      else
+        match KT.find_opt improved (S.key state) with
+        | Some h' -> max h' (heuristic state)
+        | None -> heuristic state
+    in
+    let remember key h' =
+      if KT.length improved >= table_cap then KT.reset improved;
+      KT.replace improved key h'
+    in
     let rec dfs state path_rev g bound =
-      let f = g + heuristic state in
+      let f = g + h_eff state in
       if f > bound then Cutoff f
       else begin
         if stop () then raise Stopped;
@@ -40,10 +57,16 @@ module Make (S : Space.S) = struct
           let key = S.key state in
           KT.add on_path key ();
           let best_cutoff = ref infinity_cost in
+          (* A backed-up cutoff is only a context-free lower bound when no
+             successor was suppressed by the on-path cycle check — a
+             suppressed successor might be available when the state is
+             reached along a different path. *)
+          let pruned_by_cycle = ref false in
           let rec try_succs = function
             | [] -> Cutoff !best_cutoff
             | (action, s) :: rest ->
                 if KT.mem on_path (S.key s) then begin
+                  pruned_by_cycle := true;
                   Telemetry.count telemetry Space.Ev.prune_cycle 1;
                   try_succs rest
                 end
@@ -57,9 +80,22 @@ module Make (S : Space.S) = struct
           in
           let result = try_succs succs in
           KT.remove on_path key;
+          (match result with
+          | Cutoff fmin when table && not !pruned_by_cycle ->
+              (* The subtree needs at least fmin; record it as an improved
+                 heuristic for this state. *)
+              remember key
+                (if fmin >= infinity_cost then infinity_cost / 2
+                 else fmin - g)
+          | Cutoff _ | Hit _ -> ());
           result
         end
       end
+    in
+    (* A dead end backs up infinity_cost, which the table stores halved. *)
+    let exhausted next bound =
+      (if table then next >= infinity_cost / 2 else next = infinity_cost)
+      || next <= bound
     in
     let rec iterate bound =
       Space.tick_iteration telemetry c;
@@ -69,7 +105,7 @@ module Make (S : Space.S) = struct
       | Hit (path, final) ->
           finish (Space.Found { path; final; cost = List.length path })
       | Cutoff next ->
-          if next = infinity_cost || next <= bound then finish Space.Exhausted
+          if exhausted next bound then finish Space.Exhausted
           else iterate next
     in
     try iterate (heuristic root) with

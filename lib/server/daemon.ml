@@ -85,17 +85,10 @@ end
 (* --- admission: a request validated and keyed, its databases not yet
    built --- *)
 
-(* One inline relation: its CSV document and, when keying it had to
-   build it (a Float cell, see [Fingerprint.of_csv]), the relation. *)
-type inline_rel = {
-  rel_name : string;
-  rel_doc : string;
-  rel_built : Relation.t option;
-}
-
 type admitted = {
-  p_docs : inline_rel list * inline_rel list;
-      (** source, target; emptied once {!build} has used them *)
+  p_docs : (string * string) list * (string * string) list;
+      (** source, target: (relation name, CSV document) pairs; emptied
+          once {!build} has used them *)
   p_registry : Fira.Semfun.registry;
   p_algorithm : Tupelo.Discover.algorithm;
   p_heuristic : Heuristics.Heuristic.t;
@@ -135,12 +128,11 @@ let admit cfg (r : Protocol.discover_request) =
           in
           (try Database.check_name name
            with Database.Error m -> prep_error "%s relation %S: %s" what name m);
-          if List.exists (fun d -> d.rel_name = name) docs then
+          if List.mem_assoc name docs then
             prep_error "%s relation %S: duplicate relation name" what name;
           ( Fingerprint.combine fp c.Fingerprint.term,
             schemas + Fingerprint.hash c.Fingerprint.schema_term,
-            { rel_name = name; rel_doc = csv; rel_built = c.Fingerprint.built }
-            :: docs ))
+            (name, csv) :: docs ))
         (Fingerprint.zero, 0, []) rels
     in
     let s_key, s_route, s_docs = key "source" r.Protocol.source in
@@ -167,7 +159,7 @@ let admit cfg (r : Protocol.discover_request) =
     in
     List.iter
       (fun rel ->
-        if not (List.exists (fun d -> d.rel_name = rel) t_docs) then
+        if not (List.mem_assoc rel t_docs) then
           prep_error "partial: no target relation %S" rel)
       r.Protocol.partial;
     {
@@ -196,11 +188,7 @@ let admitted_key a = (a.p_key, a.p_route)
 let build (a : admitted) =
   let db docs =
     List.fold_left
-      (fun db d ->
-        Database.add db d.rel_name
-          (match d.rel_built with
-          | Some r -> r
-          | None -> Csv.parse_relation d.rel_doc))
+      (fun db (name, doc) -> Database.add db name (Csv.parse_relation doc))
       Database.empty docs
   in
   let source, target = a.p_docs in

@@ -272,7 +272,6 @@ let to_int = function
       Some (int_of_float f)
   | _ -> None
 
-let to_bool = function Bool b -> Some b | _ -> None
 let to_arr = function Arr xs -> Some xs | _ -> None
 let to_obj = function Obj fields -> Some fields | _ -> None
 

@@ -40,7 +40,6 @@ val to_num : t -> float option
 val to_int : t -> int option
 (** [Num] with an integral value only. *)
 
-val to_bool : t -> bool option
 val to_arr : t -> t list option
 val to_obj : t -> (string * t) list option
 

@@ -30,10 +30,6 @@ let encode_rows ~name ~first_tid rel =
     rows;
   (List.rev !out, first_tid + List.length rows)
 
-let encode_relation ~name rel =
-  let rows, _ = encode_rows ~name ~first_tid:1 rel in
-  Relation.of_rows schema rows
-
 let encode db =
   let rows, _ =
     List.fold_left

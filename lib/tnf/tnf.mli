@@ -30,15 +30,11 @@ val schema : Schema.t
 
 (** {1 Encoding} *)
 
-val encode_relation : name:string -> Relation.t -> Relation.t
-(** TNF of a single relation; tuple ids are ["t1"], ["t2"], … in the
-    relation's canonical row order. Null cells are skipped (TNF stores
-    present cells only), so decode∘encode loses nothing but nulls. *)
-
 val encode : Database.t -> Relation.t
 (** TNF of a database: the union of the TNF of each relation, with tuple
     ids made globally unique by numbering tuples across relations in
-    (relation name, row) order. *)
+    (relation name, row) order. Null cells are skipped (TNF stores present
+    cells only), so decode∘encode loses nothing but nulls. *)
 
 (** {1 Decoding} *)
 

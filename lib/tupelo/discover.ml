@@ -592,12 +592,10 @@ let run_engine ~registry ~stop ~anytime ?tracker config p =
     in
     let budget = config.budget and root = p.root in
     match alg with
-    | Ida ->
+    | (Ida | Ida_tt) as alg ->
         let module I = Search.Ida.Make (Sp_memo) in
-        I.search ~stop ~telemetry:tel ~budget ?watch ~heuristic:estimate root
-    | Ida_tt ->
-        let module I = Search.Ida_tt.Make (Sp_memo) in
-        I.search ~stop ~telemetry:tel ~budget ?watch ~heuristic:estimate root
+        I.search ~stop ~telemetry:tel ~budget ~table:(alg = Ida_tt) ?watch
+          ~heuristic:estimate root
     | Rbfs ->
         let module R = Search.Rbfs.Make (Sp_memo) in
         R.search ~stop ~telemetry:tel ~budget ?watch ~heuristic:estimate root
@@ -789,11 +787,6 @@ let discover ?registry ?stop ?warm_start config ~source ~target =
   (discover_run ?registry ?stop ?warm_start config ~source ~target).a_outcome
 
 let discover_anytime = discover_run ~anytime:true
-
-let discover_mapping ?registry ?stop ?warm_start config ~source ~target =
-  match discover ?registry ?stop ?warm_start config ~source ~target with
-  | Mapping m -> Some m
-  | No_mapping _ | Gave_up _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Frontier serialization: a line-based text form so a checkpoint can

@@ -12,7 +12,7 @@ open Relational
 type algorithm =
   | Ida
   | Ida_tt  (** IDA* with a transposition table — an extension beyond the
-                paper (see [Search.Ida_tt]) *)
+                paper (see [Search.Ida], [~table]) *)
   | Rbfs
   | Astar
   | Greedy
@@ -122,16 +122,6 @@ val discover :
     so the returned mapping still replays from the original source. A
     live telemetry handle receives the prefix length as the
     [discover.warm_ops] counter. *)
-
-val discover_mapping :
-  ?registry:Fira.Semfun.registry ->
-  ?stop:(unit -> bool) ->
-  ?warm_start:Fira.Op.t list ->
-  config ->
-  source:Database.t ->
-  target:Database.t ->
-  Mapping.t option
-(** [Some] iff discovery succeeded. *)
 
 val states_examined : outcome -> int
 (** The paper's reported metric, whatever the outcome. *)

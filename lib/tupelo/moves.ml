@@ -96,8 +96,8 @@ let target_info db =
   in
   let trels_sorted = Array.of_list (Idb.names idb) in
   let tatts_sorted = ids (Database.all_attributes db) in
-  (* As [Database.all_values] lists them: one value per [Value.compare]
-     class, null included — the set the proposal rules were tuned on. *)
+  (* As [Database.all_values] lists them: each distinct value once, null
+     included — the set the proposal rules were tuned on. *)
   let tvalues_set =
     by_id (ids (List.map Value.to_string (Database.all_values db)))
   in

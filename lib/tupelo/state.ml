@@ -186,5 +186,5 @@ let key s =
       k
 
 let equal a b = Fingerprint.equal a.fp b.fp
-let same_content a b = Idb.canonical_equal a.idb b.idb
+let same_content a b = Idb.equal a.idb b.idb
 let pp ppf s = Database.pp ppf (database s)

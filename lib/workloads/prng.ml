@@ -43,4 +43,3 @@ let sample t k xs =
   let shuffled = shuffle t xs in
   List.filteri (fun i _ -> i < k) shuffled
 
-let split t = { state = next t }

@@ -1,4 +1,4 @@
-(** Deterministic splittable PRNG (SplitMix64).
+(** Deterministic PRNG (SplitMix64).
 
     The workload generators must be reproducible across runs and platforms
     — every benchmark table is a function of fixed seeds — so they use this
@@ -23,5 +23,3 @@ val shuffle : t -> 'a list -> 'a list
 val sample : t -> int -> 'a list -> 'a list
 (** [sample t k xs]: [k] distinct elements (all of [xs] if [k >= length]). *)
 
-val split : t -> t
-(** An independent generator; the original advances. *)

@@ -1,8 +1,8 @@
-(* Canonical-key equality as it was computed before the in-place check,
-   kept as a test oracle: both relations projected onto their sorted
-   attribute order, the rows sorted under Value.compare, then compared
-   position by position with the type-tagged cell equivalence. This is
-   what [Database.canonical_key] equality means, row order included. *)
+(* Relation equality as it was computed before the in-place check, kept
+   as a test oracle: both relations projected onto their sorted attribute
+   order, the rows sorted under Value.compare, then compared position by
+   position, id for id. This is what [Database.canonical_key] equality
+   means, row order included. *)
 
 open Relational
 
@@ -33,7 +33,7 @@ let irel a b =
        (fun x y ->
          let n = Array.length x in
          let rec go i =
-           i >= n || (Intern.canonical_equal_values x.(i) y.(i) && go (i + 1))
+           i >= n || (x.(i) = y.(i) && go (i + 1))
          in
          go 0)
        (norm a) (norm b)

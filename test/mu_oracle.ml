@@ -7,9 +7,7 @@
    [chunked ~order:`Hash] emits the merged groups in that Hashtbl's
    iteration order, as the old executor did; [~order:`First_seen] emits
    them in the order their key is first seen, and is otherwise the same
-   code. Which of two Value.compare-equal rows with different ids
-   (Int 1 vs Float 1.0) survives the final dedup depends on that order
-   and on nothing else. *)
+   code; the two differ only in chunk layout. *)
 
 open Relational
 
@@ -21,7 +19,7 @@ let compatible a b =
     if i >= n then true
     else
       let x = a.(i) and y = b.(i) in
-      (x = null_id || y = null_id || Intern.equal_values x y) && go (i + 1)
+      (x = null_id || y = null_id || x = y) && go (i + 1)
   in
   go 0
 

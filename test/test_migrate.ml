@@ -1,5 +1,5 @@
 (* The bulk migration executor (lib/migrate): the chunked multi-domain
-   run must be canonically equal to sequential Fira.Eval on random
+   run must equal sequential Fira.Eval, id for id, on random
    (database, program) pairs, and the streaming CSV ingest/emit path
    must agree with the one-shot parser — including a quoted multi-line
    field split across a chunk boundary. *)
@@ -16,8 +16,8 @@ let canonical_idb db = Idb.of_database db
    every chunk-merge plan (promote's global schema pass, merge's
    cross-chunk regroup, partition's class reassembly, diff's sorted
    probe) actually crosses chunk boundaries — and with both a sequential
-   and a 2-domain pool. The result must be canonically equal to the
-   boxed sequential evaluator's. *)
+   and a 2-domain pool. The result must equal the boxed sequential
+   evaluator's, id for id. *)
 let test_equivalence () =
   let chunk_sizes = [| 1; 2; 3; 7 |] in
   for seed = 1 to 500 do
@@ -30,7 +30,7 @@ let test_equivalence () =
       Migrate.run_idb ~registry:s.registry cfg s.program
         (canonical_idb s.source)
     in
-    if not (Idb.canonical_equal got expected) then
+    if not (Idb.equal got expected) then
       Alcotest.failf
         "seed %d (chunk_rows=%d jobs=%d): chunked result diverges from \
          sequential eval\nprogram:\n%s"
@@ -75,7 +75,7 @@ let test_single_chunk_matches_eval () =
     Migrate.run_idb ~registry:s.registry cfg s.program (canonical_idb s.source)
   in
   Alcotest.(check bool) "single chunk = sequential" true
-    (Idb.canonical_equal got expected)
+    (Idb.equal got expected)
 
 let test_absent_relation_error () =
   let source = idb_of "R" (rel_of_strings [ "a" ] [ [ "1" ] ]) in
@@ -137,7 +137,7 @@ let test_ingest_matches_parse_relation () =
         (Migrate.Cdb.chunk_count cdb);
       let got = Idb.find (Migrate.Cdb.to_idb cdb) (Intern.string_id "R") in
       Alcotest.(check bool) "ingest = parse_relation" true
-        (Irel.canonical_equal got expected))
+        (Irel.equal got expected))
 
 let test_ingest_errors () =
   let cfg = Migrate.config () in
@@ -195,7 +195,7 @@ let test_emit_roundtrip () =
       in
       let got = Irel.of_relation (Csv.parse_relation doc) in
       Alcotest.(check bool) "emit then parse = id" true
-        (Irel.canonical_equal got r))
+        (Irel.equal got r))
 
 let test_cdb_roundtrip () =
   (* of_idb with tiny chunks, then to_idb, is the identity. *)
@@ -217,7 +217,7 @@ let test_cdb_roundtrip () =
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: to_idb ∘ of_idb = id" seed)
       true
-      (Idb.canonical_equal idb (Migrate.Cdb.to_idb cdb))
+      (Idb.equal idb (Migrate.Cdb.to_idb cdb))
   done
 
 (* --- one applicability check ---
@@ -289,9 +289,8 @@ let prop_one_applicability_check =
 
 (* --- ℘ group names ---
 
-   Int 1 and Float 1.0 are one Value.compare class; the group takes the
-   name of the class's first value in canonical row order. (1, "a") sorts
-   before (1.0, "b"), so the group is "1" in every evaluator. *)
+   Int 1 and Float 1.0 are two values, so two groups, named by their
+   printed forms "1" and "1.0" in every evaluator. *)
 let test_partition_group_names () =
   let open Value in
   let r =
@@ -306,7 +305,8 @@ let test_partition_group_names () =
   let op = Fira.Op.Partition { rel = "R"; col = "k" } in
   let names_of_idb idb = List.map Intern.string_of_id (Idb.names idb) in
   let check what names =
-    Alcotest.(check (list string)) what [ "1"; "2" ] (List.sort String.compare names)
+    Alcotest.(check (list string)) what [ "1"; "1.0"; "2" ]
+      (List.sort String.compare names)
   in
   let registry = Fira.Semfun.empty_registry in
   check "boxed" (Database.relation_names (Fira.Eval.apply registry op db));
@@ -332,20 +332,16 @@ let test_partition_group_names () =
    sequentially (Irel.merge over the chunks' union) and chunked (the
    chunks joined by ∪, then merge[k]); both must give the expected rows
    id for id, as must the former µ (Mu_oracle) and the boxed
-   Relation.merge. [chunked] overrides the expectation of the two chunked
-   runs, which keep unique-key rows ahead of merged ones. *)
+   Relation.merge. *)
 
-let mu_case ?(chunk_rows = 2) ?chunked what header chunks key expected =
+let mu_case ?(chunk_rows = 2) what header chunks key expected =
   let atts = Array.of_list (List.map Intern.string_id header) in
   let ids rows = List.map (fun r -> Array.of_list (List.map Intern.value_id r)) rows in
   let chunks = List.map (fun rows -> Irel.of_rows atts (ids rows)) chunks in
   let whole = Irel.of_rows atts (List.concat_map Irel.to_rows chunks) in
   let key = Intern.string_id key in
   let want = Irel.of_rows atts (ids expected) in
-  let want_chunked =
-    Irel.of_rows atts (ids (Option.value chunked ~default:expected))
-  in
-  let check ?(want = want) path got =
+  let check path got =
     Alcotest.(check bool)
       (Printf.sprintf "%s: %s µ" what path)
       true (Mu_oracle.same_ids got want)
@@ -357,10 +353,10 @@ let mu_case ?(chunk_rows = 2) ?chunked what header chunks key expected =
        (Relation.merge (Irel.to_relation whole) (Intern.string_of_id key)));
   List.iter
     (fun jobs ->
-      check ~want:want_chunked (Printf.sprintf "chunked (jobs %d)" jobs)
+      check (Printf.sprintf "chunked (jobs %d)" jobs)
         (Mu_oracle.migrate ~chunk_rows ~jobs chunks key))
     [ 1; 2 ];
-  check ~want:want_chunked "former chunked"
+  check "former chunked"
     (Mu_oracle.coalesce atts
        (Mu_oracle.chunked ~order:`Hash ~chunk_rows chunks key));
   whole
@@ -392,23 +388,21 @@ let test_mu_kernel_pinned () =
        ]
        "k"
        [ [ String "x"; String "a"; Null ]; [ String "x"; String "b"; String "c" ] ]);
-  (* Int 1 and Float 1.0 are equal values with different ids: the column
-     conflicts, the fixpoint runs, and its representative is Float 1.0
-     (the first row it is fed) where a first-non-null fold would keep
-     Int 1. *)
+  (* Int 1 and Float 1.0 are two values: the column conflicts, the
+     fixpoint runs, and the rows are incompatible, so nothing merges. *)
   ignore
     (mu_case ~chunk_rows:1 "Int 1 / Float 1.0 in one column" [ "k"; "v"; "w" ]
        [ [ [ String "x"; Int 1; Null ] ]; [ [ String "x"; Float 1.0; String "c" ] ] ]
        "k"
-       [ [ String "x"; Float 1.0; String "c" ] ]);
+       [ [ String "x"; Int 1; Null ]; [ String "x"; Float 1.0; String "c" ] ]);
   (* Int 1 and String "1" print alike, so they are one group, but they
      are not equal values: nothing merges and µ returns its input. The
-     Float 1.0 row defeats the µ-identity certificate, so the kernel
-     really runs. *)
+     null key leaves w the only null-free column, which defeats the
+     µ-identity certificate, so the kernel really runs. *)
   let rows =
     [
       [ Int 1; Null; String "z" ]; [ String "1"; Null; String "z" ];
-      [ Float 1.0; String "q"; String "z" ];
+      [ Null; String "q"; String "z" ];
     ]
   in
   let whole =
@@ -420,18 +414,20 @@ let test_mu_kernel_pinned () =
     (Irel.mu_identity whole);
   Alcotest.(check bool) "Int 1 / String \"1\" keys: input returned" true
     (Irel.merge whole (Intern.string_id "k") == whole);
-  (* A merged row equal, under Value.compare, to a unique key's row: the
-     first-seen group order decides which survives, as in the boxed µ.
-     Chunked, the unique row's chunk comes first and its row survives. *)
+  (* The Int 1 rows merge into (1, a, b), which sits beside the unique
+     Float 1.0 row (1.0, a, b): two rows in every evaluator and every
+     chunking. *)
   ignore
     (mu_case "merged row meets a unique row" [ "k"; "v"; "w" ]
-       ~chunked:[ [ Float 1.0; String "a"; String "b" ] ]
        [
          [ [ Int 1; Null; String "b" ]; [ Int 1; String "a"; Null ] ];
          [ [ Float 1.0; String "a"; String "b" ] ];
        ]
        "k"
-       [ [ Int 1; String "a"; String "b" ] ]);
+       [
+         [ Int 1; String "a"; String "b" ];
+         [ Float 1.0; String "a"; String "b" ];
+       ]);
   (* Every key unique, with no certificate (v is null-free but not
      injective, k holds a null): both paths return their input. *)
   let atts = [| Intern.string_id "k"; Intern.string_id "v" |] in
@@ -458,8 +454,9 @@ let test_mu_kernel_pinned () =
    message. *)
 
 let ingest_cells =
-  [ ""; "NULL"; "null"; "true"; "0"; "0.0"; "-0.0"; "1"; "1.0"; "01"; "1e3";
-    "a"; "b"; "a,b"; "say \"hi\""; "x\ny"; "x\r\ny" ]
+  [ ""; "NULL"; "null"; "true"; "0"; "0.0"; "-0.0"; "1"; "1.0"; "1.00"; "01";
+    "1e3"; "0.3"; "0.30000000000000004"; "a"; "b"; "a,b"; "say \"hi\"";
+    "x\ny"; "x\r\ny" ]
 
 let quote s =
   "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
@@ -554,14 +551,16 @@ let test_ingest_pinned () =
       (Ingest_oracle.same_chunks want got);
     got
   in
-  (* 0, 0.0 and -0.0 compare equal under three ids. List.sort_uniq keeps
-     the middle row, not the first; the columnar canonicalizer falls back
-     to it on such a run. *)
+  (* 0, 0.0 and -0.0 are three values: Int before Float, -0.0 before
+     0.0. *)
   (match both "a\n0\n0.0\n-0.0\n" 3 with
   | _, [ c ] ->
-      Alcotest.(check int) "one row" 1 (Irel.cardinality c);
-      Alcotest.(check bool) "the middle row survives" true
-        (Intern.value_of_id (Irel.col_ids c 0).(0) = Value.Float 0.0)
+      Alcotest.(check (list string)) "three rows, in order"
+        [ "0"; "-0.0"; "0.0" ]
+        (Array.to_list
+           (Array.map
+              (fun id -> Value.to_string (Intern.value_of_id id))
+              (Irel.col_ids c 0)))
   | _ -> Alcotest.fail "one chunk expected");
   (* A header-only document binds one empty chunk. *)
   (match both "a,b\r\n" 2 with
@@ -588,6 +587,48 @@ let test_ingest_pinned () =
     [ fresh 1 "x"; fresh 2 "y"; "900917"; fresh 3 "z"; "900913"; fresh 4 "w" ]
     (List.map Value.to_string issued)
 
+(* --- migrate = apply on 1 / 1.0 keys ---
+
+   1 and 1.0 are two keys: µ folds the two 1 rows into (1, a, b) and
+   keeps (1.0, a, b). The CSV migration, at one row per chunk and at one
+   chunk, and the boxed evaluator behind [tupelo apply] give those two
+   rows, and migrate's row count is what it emits. *)
+let test_numeric_keys_agree () =
+  let doc = "k,v,w\n1,,b\n1,a,\n1.0,a,b\n" in
+  let program = expr_exn "merge[k](R)" in
+  let want = "k,v,w\n1,a,b\n1.0,a,b\n" in
+  let emitted r =
+    let path = Filename.temp_file "tupelo_emit" ".csv" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let oc = open_out_bin path in
+        Migrate.emit_channel (Migrate.config ()) oc r;
+        close_out oc;
+        In_channel.with_open_bin path In_channel.input_all)
+  in
+  List.iter
+    (fun chunk_rows ->
+      let cfg = Migrate.config ~chunk_rows ~jobs:1 () in
+      let cdb =
+        with_temp_csv doc (fun _ ic ->
+            Migrate.ingest_channel cfg Migrate.Cdb.empty ~name:"R" ic)
+      in
+      let out, stats = Migrate.run cfg program cdb in
+      let r = Idb.find (Migrate.Cdb.to_idb out) (Intern.string_id "R") in
+      let what = Printf.sprintf "chunk_rows %d" chunk_rows in
+      Alcotest.(check string) (what ^ ": migrate") want (emitted r);
+      Alcotest.(check int) (what ^ ": 3 rows in") 3 stats.Migrate.rows_in;
+      Alcotest.(check int) (what ^ ": 2 rows out") 2 stats.Migrate.rows_out;
+      Alcotest.(check int) (what ^ ": 2 rows emitted") 2 (Irel.cardinality r))
+    [ 1; 65536 ];
+  let applied =
+    Fira.Expr.eval Fira.Semfun.empty_registry program
+      (Database.of_list [ ("R", Csv.parse_relation doc) ])
+  in
+  Alcotest.(check string) "apply" want
+    (emitted (Irel.of_relation (Database.find applied "R")))
+
 let suite =
   [
     Alcotest.test_case "chunked = sequential (500 seeds)" `Slow
@@ -608,4 +649,6 @@ let suite =
     Alcotest.test_case "µ kernel pinned cases" `Quick test_mu_kernel_pinned;
     Alcotest.test_case "ingest pinned cases" `Quick test_ingest_pinned;
     prop_ingest_oracle;
+    Alcotest.test_case "µ over 1 / 1.0 keys: migrate = apply" `Quick
+      test_numeric_keys_agree;
   ]

@@ -24,7 +24,11 @@ module Grid = struct
 end
 
 module Grid_ida = Search.Ida.Make (Grid)
-module Grid_ida_tt = Search.Ida_tt.Make (Grid)
+module Grid_ida_tt = struct
+  let search ?budget ~heuristic root =
+    Grid_ida.search ~table:true ?budget ~heuristic root
+end
+
 module Grid_rbfs = Search.Rbfs.Make (Grid)
 module Grid_fs = Search.Frontier_search.Make (Grid)
 module Fs = Search.Frontier_search
@@ -103,7 +107,10 @@ module Dead_end = struct
 end
 
 module De_ida = Search.Ida.Make (Dead_end)
-module De_ida_tt = Search.Ida_tt.Make (Dead_end)
+module De_ida_tt = struct
+  let search ~heuristic root = De_ida.search ~table:true ~heuristic root
+end
+
 module De_rbfs = Search.Rbfs.Make (Dead_end)
 module De_fs = Search.Frontier_search.Make (Dead_end)
 

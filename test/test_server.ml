@@ -724,6 +724,55 @@ let test_discover_and_cache_hit () =
     "trace agrees on warms" 1
     (Telemetry.Agg.counter agg "cache.warm")
 
+(* Float cells are keyed while tokenizing, like every other cell: the
+   admitted request holds its CSV documents and no relation (it reaches
+   exactly as many words as a request whose float cells are spelled as
+   strings of the same length), its key is the built databases', and a
+   reordered repeat is a cache hit. *)
+let test_float_request_keyed_and_hit () =
+  let rows =
+    List.init 24 (fun k ->
+        Printf.sprintf "r%d,%s,%d.5\n" k
+          (List.nth [ "0.3"; "0.30000000000000004"; "1.0"; "1"; "-0.0" ] (k mod 5))
+          k)
+  in
+  let doc rows = "name,x,y\n" ^ String.concat "" rows in
+  let req doc =
+    Protocol.request ~source:[ ("R", doc) ] ~target:[ ("S", doc) ] ()
+  in
+  let cfg = Daemon.config () in
+  let admitted doc =
+    match Daemon.admit cfg (req doc) with
+    | Ok a -> a
+    | Error m -> Alcotest.failf "admit: %s" m
+  in
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let spelled_as_strings =
+    String.map (function '0' .. '9' -> 'a' | '.' -> 'b' | '-' -> 'c' | c -> c)
+  in
+  Alcotest.(check int) "admitted: documents only"
+    (words (admitted (spelled_as_strings (doc rows))))
+    (words (admitted (doc rows)));
+  Alcotest.(check bool) "a built relation would show" true
+    (words (Csv.parse_relation (doc rows)) > 100);
+  (match boxed_key cfg (req (doc rows)) with
+  | Ok ((s, t), route) ->
+      let (s', t'), route' = Daemon.admitted_key (admitted (doc rows)) in
+      Alcotest.(check bool) "key = the built databases'" true
+        (Fingerprint.equal s s' && Fingerprint.equal t t' && route = route')
+  | Error m -> Alcotest.failf "boxed: %s" m);
+  with_daemon @@ fun t _agg ->
+  let port = Daemon.port t in
+  let first =
+    check_outcome "first" "mapping" (discover_once ~port (req (doc rows)))
+  in
+  Alcotest.(check string) "first is a miss" "miss" first.Protocol.cache;
+  let second =
+    check_outcome "repeat" "mapping"
+      (discover_once ~port (req (doc (List.rev rows))))
+  in
+  Alcotest.(check string) "reordered repeat is a hit" "hit" second.Protocol.cache
+
 let test_goal_mode_mismatch_is_a_miss () =
   with_daemon @@ fun t _agg ->
   let port = Daemon.port t in
@@ -1566,4 +1615,6 @@ let suite =
       test_no_sink_no_search_events;
     Alcotest.test_case "e2e: a trace sink sees every examined state" `Quick
       test_sink_keeps_search_events;
+    Alcotest.test_case "e2e: a float request is keyed unbuilt, then hits" `Quick
+      test_float_request_keyed_and_hit;
   ]

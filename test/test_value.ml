@@ -32,11 +32,20 @@ let test_ordering () =
   lt (Value.Int 5) (Value.String "5");
   lt (Value.String "a") (Value.String "b")
 
+(* Numbers order by exact value across Int and Float, but an Int and a
+   Float are never one value: a numeric tie puts the Int first. *)
 let test_numeric_cross_equal () =
-  Alcotest.(check int) "Int 3 = Float 3.0" 0
+  Alcotest.(check int) "Int 3 < Float 3.0" (-1)
     (Value.compare (Value.Int 3) (Value.Float 3.0));
-  Alcotest.(check bool) "equal across types" true
-    (Value.equal (Value.Int 3) (Value.Float 3.0))
+  Alcotest.(check bool) "not equal across types" false
+    (Value.equal (Value.Int 3) (Value.Float 3.0));
+  Alcotest.(check int) "-0.0 < 0.0" (-1)
+    (Value.compare (Value.Float (-0.0)) (Value.Float 0.0));
+  (* Past 2^53 an int is compared exactly, not through float_of_int. *)
+  Alcotest.(check int) "Int (2^53 + 1) > Float 2^53" 1
+    (Value.compare (Value.Int ((1 lsl 53) + 1)) (Value.Float 0x1p53));
+  Alcotest.(check int) "Float 2^62 > max_int" 1
+    (Value.compare (Value.Float 0x1p62) (Value.Int max_int))
 
 let test_to_string_roundtrip () =
   let roundtrip v =
@@ -47,7 +56,16 @@ let test_to_string_roundtrip () =
   in
   List.iter roundtrip
     [ Value.Null; Value.Bool true; Value.Int 0; Value.Int (-12);
-      Value.Float 2.25; Value.String "hello world" ]
+      Value.Float 2.25; Value.Float (-0.0); Value.Float (0.1 +. 0.2);
+      Value.String "hello world" ];
+  (* Up to 12 significant digits a float prints as string_of_float does;
+     past that, with the fewest digits that read back exactly. *)
+  List.iter
+    (fun (f, s) ->
+      Alcotest.(check string) s s (Value.to_string (Value.Float f)))
+    [ (1.0, "1.0"); (-0.0, "-0.0"); (0.3, "0.3"); (1e20, "1e+20");
+      (0.1 +. 0.2, "0.30000000000000004"); (1234567890123.0, "1234567890123.0");
+      (Float.nan, "nan") ]
 
 let test_coercions () =
   Alcotest.(check (option int)) "as_int of int" (Some 5) (Value.as_int (Value.Int 5));
