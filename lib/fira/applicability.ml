@@ -52,6 +52,7 @@ module Make (V : SCHEMA_VIEW) = struct
     | Op.Partition { rel; col } ->
         let r = find db rel in
         has_col r col;
+        let groups = V.group_names r (V.name col) in
         (* Every group name must be usable and must not clash with a
            surviving relation. *)
         List.iter
@@ -60,7 +61,17 @@ module Make (V : SCHEMA_VIEW) = struct
             if name = "" then fail "empty group name";
             if V.mem db group && name <> rel then
               fail "relation %S already exists" name)
-          (V.group_names r (V.name col))
+          groups;
+        (* Each group needs a name of its own: two distinct values that
+           print alike (Int 1 and String "1") would name one relation,
+           and one group would be lost. *)
+        let rec distinct = function
+          | a :: (b :: _ as rest) ->
+              if a = b then fail "duplicate group name %S" (V.string_of_name a);
+              distinct rest
+          | _ -> ()
+        in
+        distinct (List.sort compare groups)
     | Op.Product { left; right; out } ->
         let l = find db left in
         let r = find db right in

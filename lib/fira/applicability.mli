@@ -23,7 +23,8 @@ module type SCHEMA_VIEW = sig
   val group_names : rel -> name -> name list
   (** The relation names [℘] over this column would create: the printed
       forms of its distinct non-null values, in {!Relational.Value.compare}
-      order. *)
+      order. Two values may print alike ([Int 1] and [String "1"]); the
+      check then rejects [℘] with a duplicate-group-name reason. *)
 end
 
 module Make (V : SCHEMA_VIEW) : sig

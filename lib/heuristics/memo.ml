@@ -20,6 +20,13 @@ type ('k, 'v) t = {
 
 let default_cap = 200_000
 
+(* A generation's first bucket array. An array over 256 words is
+   allocated straight on the major heap, and every young entry written
+   into it becomes a remembered-set root: the next minor collection would
+   promote whatever the entries reach, live or not. 16 buckets stay
+   young; [Hashtbl] doubles them as the table grows. *)
+let initial_buckets = 16
+
 let create ?(telemetry = Telemetry.disabled) ?(name = "memo") ?weight
     ?(cap = default_cap) () =
   if cap < 2 then invalid_arg "Memo.create: cap must be >= 2";
@@ -47,7 +54,7 @@ let rec tables t =
          another domain's insertion: retry and the entry is still absent. *)
       let tb =
         {
-          current = Hashtbl.create 1024;
+          current = Hashtbl.create initial_buckets;
           previous = Hashtbl.create 0;
           weight = 0;
           evictions = 0;
@@ -85,7 +92,7 @@ let find_or_add t key compute =
              but everything touched since the last flip survives — unlike a
              full reset, the recent working set is never discarded. *)
           tb.previous <- tb.current;
-          tb.current <- Hashtbl.create 1024;
+          tb.current <- Hashtbl.create initial_buckets;
           tb.weight <- 0;
           tb.evictions <- tb.evictions + 1;
           Telemetry.count t.telemetry t.eviction 1
@@ -100,3 +107,11 @@ let size t =
   Hashtbl.length tb.current + Hashtbl.length tb.previous
 
 let evictions t = (tables t).evictions
+
+let clear t =
+  List.iter
+    (fun (_, tb) ->
+      Hashtbl.clear tb.current;
+      Hashtbl.clear tb.previous;
+      tb.weight <- 0)
+    (Atomic.get t.per_domain)

@@ -20,10 +20,19 @@
 
     {b Ownership.} A memo owns its per-domain tables (an atomic list keyed
     by [Domain.self ()]); nothing outside the memo points at them, so they
-    are collected with the memo. Create one memo per run and drop it
-    afterwards: a long-running server creates one per request. The tables
-    are not kept in [Domain.DLS]: OCaml never frees a DLS slot, so every
-    memo ever created would stay live. *)
+    are collected with the memo. Create one memo per run: a long-running
+    server creates one per request. The tables are not kept in
+    [Domain.DLS]: OCaml never frees a DLS slot, so every memo ever
+    created would stay live.
+
+    An unreachable memo is not free at once, though. A table that grew
+    past 256 words of buckets lives on the major heap, and every young
+    entry written into it is a remembered-set root: the next minor
+    collection promotes everything the entries reach, whether the memo
+    is reachable or not. So each generation starts with a bucket array
+    small enough to be young, and a run calls {!clear} when it ends,
+    which overwrites the buckets and lets the minor collection drop the
+    run's states instead of promoting them. *)
 
 type ('k, 'v) t
 (** Keys are hashed and compared with the polymorphic [Hashtbl] primitives;
@@ -61,3 +70,11 @@ val size : ('k, 'v) t -> int
 val evictions : ('k, 'v) t -> int
 (** Number of generation flips performed in the calling domain's table
     (each flip drops at most [cap / 2] cold entries). *)
+
+val clear : ('k, 'v) t -> unit
+(** [clear t] empties both generations of every domain's table (the
+    eviction count stays). Call it when the run that owns [t] ends, once
+    no domain uses [t] any more: it overwrites the bucket arrays, so
+    entries written into a table already on the major heap no longer
+    keep the run's young values alive through the next minor
+    collection. [t] stays usable afterwards; a lookup just misses. *)

@@ -72,6 +72,12 @@ module Cdb : sig
   val to_database : t -> Database.t
 end
 
+val cexplain_inapplicable :
+  Fira.Semfun.registry -> Fira.Op.t -> Cdb.t -> string option
+(** The applicability check over a chunked database: the preconditions
+    and reason strings of {!Fira.Eval.explain_inapplicable} ([None] when
+    the operator applies). {!run} raises {!Error} with this reason. *)
+
 (** {1 Configuration} *)
 
 type config = {

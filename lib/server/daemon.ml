@@ -335,6 +335,17 @@ let stats_json t =
                ("evictions", c "cache.evict");
              ] );
          ("search", Json.Obj [ ("states_examined", c Ev.states) ]);
+         ( "gc",
+           (* Process-wide: every domain's figures as of its last minor
+              collection. *)
+           let s = Gc.quick_stat () and n i = Json.Num (float_of_int i) in
+           Json.Obj
+             [
+               ("minor_collections", n s.Gc.minor_collections);
+               ("major_collections", n s.Gc.major_collections);
+               ("promoted_words", Json.Num s.Gc.promoted_words);
+               ("heap_words", n s.Gc.heap_words);
+             ] );
          ( "telemetry",
            Json.Obj
              [ ("events", Json.Num (float_of_int (Telemetry.Agg.events t.agg))) ]
@@ -690,11 +701,15 @@ let worker_loop t =
                         d_retain = None;
                       };
                 }));
-        (* collect this domain's (large) minor heap now, while idle
-           between jobs and right after the response was posted — most
-           of the search's young allocation is already dead, so the
-           pause is short, and it keeps the deferred collection from
-           landing mid-flood on the reactor's hit path later *)
+        (* Collect this domain's (large) minor heap now, right after
+           the response was posted, so the deferred collection does not
+           land mid-flood on the reactor's hit path later. It is not
+           free for the response: every minor collection stops every
+           domain, so the reactor delivers only once it ends. It is
+           short because the finished search left nothing young alive
+           (its memos are cleared at run end, see Discover.run_engine):
+           what a table on the major heap still pointed at would be
+           promoted here. *)
         Gc.minor ();
         go ()
   in

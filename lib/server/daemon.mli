@@ -37,7 +37,15 @@
       numbers reconcile exactly with an aggregated trace. Includes an
       [anytime] section (incumbents streamed, resume requests, frontier
       retention/eviction counters) and [telemetry.events], the number of
-      events that aggregate has received.
+      events that aggregate has received. A [gc] object holds the
+      runtime's gauges, read by [Gc.quick_stat] when the snapshot is
+      taken rather than from the aggregate: [minor_collections],
+      [major_collections], [promoted_words] and [heap_words],
+      process-wide, each domain's share as of its last minor
+      collection. [promoted_words] includes what a finished search
+      leaves young and alive for the worker's post-job minor collection,
+      so a per-request average that grows points at search state kept
+      reachable past its run.
 
     Error mapping: malformed HTTP or JSON → 400, a partial request
     older than [read_timeout_ms] (slow loris) → 408 and close,

@@ -481,6 +481,24 @@ let successor_memo_state_cells = 64
 
 let run_engine ~registry ~stop ~anytime ?tracker config p =
   let telemetry = config.telemetry in
+  (* Every memo the run creates is cleared when the run ends, however it
+     ends (see {!Heuristics.Memo.clear}): a finished search must leave
+     nothing young alive for the next minor collection to promote.
+     Portfolio entrants create theirs on other domains, hence the atomic
+     list. *)
+  let memos = Atomic.make [] in
+  let owned memo =
+    let rec push () =
+      let l = Atomic.get memos in
+      if
+        not
+          (Atomic.compare_and_set memos l
+             ((fun () -> Heuristics.Memo.clear memo) :: l))
+      then push ()
+    in
+    push ();
+    memo
+  in
   let compute state =
     Moves.successors ~telemetry p.moves_config registry p.target_info state
   in
@@ -496,12 +514,13 @@ let run_engine ~registry ~stop ~anytime ?tracker config p =
   let succ_memo :
       (Relational.Fingerprint.t, State.t * (Fira.Op.t * State.t) list)
       Heuristics.Memo.t =
-    Heuristics.Memo.create ~telemetry ~name:"successors"
-      ~cap:successor_memo_cells
-      ~weight:(fun (st, succs) ->
-        let weigh s = State.total_cells s + successor_memo_state_cells in
-        List.fold_left (fun n (_, s) -> n + weigh s) (weigh st) succs)
-      ()
+    owned
+      (Heuristics.Memo.create ~telemetry ~name:"successors"
+         ~cap:successor_memo_cells
+         ~weight:(fun (st, succs) ->
+           let weigh s = State.total_cells s + successor_memo_state_cells in
+           List.fold_left (fun n (_, s) -> n + weigh s) (weigh st) succs)
+         ())
   in
   let memoized state =
     let st, succs =
@@ -555,7 +574,7 @@ let run_engine ~registry ~stop ~anytime ?tracker config p =
     if heuristic.Heuristics.Heuristic.name = "h0" then fun _ -> 0
     else begin
       let memo : (Relational.Fingerprint.t, int) Heuristics.Memo.t =
-        Heuristics.Memo.create ~telemetry:tel ()
+        owned (Heuristics.Memo.create ~telemetry:tel ())
       in
       (* Cosine estimates skip profile materialization entirely: the
          state's dot/norm parts are folded incrementally along the parent
@@ -613,6 +632,9 @@ let run_engine ~registry ~stop ~anytime ?tracker config p =
     | Portfolio ->
         invalid_arg "Discover: Portfolio cannot be an entrant of itself"
   in
+  Fun.protect ~finally:(fun () ->
+      List.iter (fun clear -> clear ()) (Atomic.get memos))
+  @@ fun () ->
   match p.algorithm with
   | Portfolio -> (
       let elapsed = Search.Space.stopwatch () in

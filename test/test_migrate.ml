@@ -326,6 +326,33 @@ let test_partition_group_names () =
         (names_of_idb got))
     [ 1; 64 ]
 
+(* Int 1 and String "1" are two values that print alike: ℘ would name
+   both groups "1" and keep one. Every form rejects it, for one reason. *)
+let test_partition_duplicate_group_name () =
+  let open Value in
+  let r =
+    Relation.of_rows
+      (Schema.of_list [ "k"; "v" ])
+      (List.map Row.of_list [ [ Int 1; String "a" ]; [ String "1"; String "b" ] ])
+  in
+  let db = Database.of_list [ ("R", r) ] in
+  let op = Fira.Op.Partition { rel = "R"; col = "k" } in
+  let registry = Fira.Semfun.empty_registry in
+  let expected = Some "duplicate group name \"1\"" in
+  let check what got =
+    Alcotest.(check (option string)) what expected got
+  in
+  check "boxed" (Fira.Eval.explain_inapplicable registry op db);
+  check "interned"
+    (Fira.Eval.iexplain_inapplicable registry op (Idb.of_database db));
+  List.iter
+    (fun chunk_rows ->
+      check
+        (Printf.sprintf "chunked (chunk_rows %d)" chunk_rows)
+        (Migrate.cexplain_inapplicable registry op
+           (Migrate.Cdb.of_database ~chunk_rows db)))
+    [ 1; 64 ]
+
 (* --- µ kernel pinned cases ---
 
    Each case holds typed rows split into chunks. µ on the key runs
@@ -651,4 +678,6 @@ let suite =
     prop_ingest_oracle;
     Alcotest.test_case "µ over 1 / 1.0 keys: migrate = apply" `Quick
       test_numeric_keys_agree;
+    Alcotest.test_case "℘ duplicate group name (Int 1 / String \"1\")" `Quick
+      test_partition_duplicate_group_name;
   ]

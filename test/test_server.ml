@@ -1504,6 +1504,31 @@ let test_no_sink_no_search_events () =
   if grown >= 32 then
     Alcotest.failf "telemetry.events grew by %d for one cold request" grown
 
+(* /stats [gc] holds the runtime's gauges. Its counters cannot fall
+   while a cold request runs; [heap_words] is a size, which falls when a
+   major cycle frees pools, so it need only be positive. *)
+let test_stats_gc_gauges () =
+  let t = Daemon.start (Daemon.config ~port:0 ~workers:1 ()) in
+  Fun.protect ~finally:(fun () -> Daemon.stop t) @@ fun () ->
+  let counters =
+    [ "minor_collections"; "major_collections"; "promoted_words" ]
+  in
+  let read () =
+    let stats = stats_of t in
+    if stats_counter stats [ "gc"; "heap_words" ] <= 0 then
+      Alcotest.fail "gc.heap_words is not positive";
+    List.map (fun f -> (f, stats_counter stats [ "gc"; f ])) counters
+  in
+  let before = read () in
+  let source, target = tagged_fig1_pair "gauges_" in
+  ignore
+    (check_outcome "cold pair" "mapping"
+       (discover_once ~port:(Daemon.port t) (Protocol.request ~source ~target ())));
+  List.iter2
+    (fun (f, b) (_, a) ->
+      if a < b then Alcotest.failf "gc.%s fell from %d to %d" f b a)
+    before (read ())
+
 (* With a sink attached and search telemetry on, the sink still sees the
    whole search stream: its examine counter sums to the response's
    states examined. *)
@@ -1611,6 +1636,8 @@ let suite =
       test_loop_hit_path_major_words;
     carve_matches_parse_buffered;
     json_parse_sub_window;
+    Alcotest.test_case "e2e: /stats gc counters never fall" `Quick
+      test_stats_gc_gauges;
     Alcotest.test_case "e2e: no trace sink, no search events" `Quick
       test_no_sink_no_search_events;
     Alcotest.test_case "e2e: a trace sink sees every examined state" `Quick

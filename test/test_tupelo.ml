@@ -744,6 +744,45 @@ let test_fresh_pairs_heap_bounded () =
   if per_pair >= 2_000 then
     Alcotest.failf "%d fresh pairs left %d words live per pair" pairs per_pair
 
+let test_finished_run_leaves_nothing_young () =
+  (* A finished search is garbage, and the next minor collection must be
+     able to drop it rather than promote it. A memo table on the major
+     heap whose entries still point at the run's states makes them
+     remembered-set roots: before memos started young and were cleared
+     at run end, the collection after the 489-state cold pair promoted
+     about 163k words. The minor heap is raised so that each search runs
+     without a minor collection: RBFS/h1 allocates about 12M words. *)
+  let source, target = cold_pair () in
+  let saved = Gc.get () in
+  Fun.protect ~finally:(fun () -> Gc.set saved) @@ fun () ->
+  Gc.set { saved with Gc.minor_heap_size = 16 lsl 20 };
+  let promoted name config examined =
+    (* A first run interns the pair's names; the measured run adds none. *)
+    ignore (D.discover config ~source ~target);
+    Gc.minor ();
+    let before = Gc.quick_stat () in
+    (match D.discover config ~source ~target with
+    | D.Mapping m ->
+        Alcotest.(check int)
+          (name ^ ": examined") examined
+          m.Tupelo.Mapping.stats.Search.Space.examined
+    | _ -> Alcotest.failf "%s: no mapping for the cold pair" name);
+    let ran = Gc.quick_stat () in
+    Alcotest.(check int)
+      (name ^ ": no minor collection during the search")
+      before.Gc.minor_collections ran.Gc.minor_collections;
+    Gc.minor ();
+    let words =
+      int_of_float ((Gc.quick_stat ()).Gc.promoted_words -. ran.Gc.promoted_words)
+    in
+    if words >= 8_192 then
+      Alcotest.failf "%s: the minor collection after the run promoted %d words"
+        name words
+  in
+  promoted "rbfs/cosine" (D.config ()) 489;
+  promoted "ida/cosine" (D.config ~algorithm:D.Ida ()) 61;
+  promoted "rbfs/h1" (D.config ~heuristic:Heuristics.Heuristic.h1 ()) 2_963
+
 let suite =
   [
     Alcotest.test_case "goal modes" `Quick test_goal_modes;
@@ -787,4 +826,6 @@ let suite =
       test_discovery_heap_bounded;
     Alcotest.test_case "discover: live heap bounded over fresh pairs" `Quick
       test_fresh_pairs_heap_bounded;
+    Alcotest.test_case "discover: a finished run leaves nothing young alive"
+      `Quick test_finished_run_leaves_nothing_young;
   ]
