@@ -716,7 +716,10 @@ let serve_cmd =
   let workers =
     Arg.(
       value & opt int 2
-      & info [ "workers" ] ~docv:"N" ~doc:"Discovery worker domains.")
+      & info [ "workers" ] ~docv:"N"
+          ~doc:
+            "Concurrent discovery searches: worker threads, packed onto \
+             at most cores-1 domains.")
   in
   let timeout =
     Arg.(

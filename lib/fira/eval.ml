@@ -31,13 +31,6 @@ type delta = {
   added : (string * Relation.t) list;
 }
 
-let relation_cells r =
-  Relation.cardinality r * Schema.arity (Relation.schema r)
-
-let delta_cells d =
-  let sum rs = List.fold_left (fun n (_, r) -> n + relation_cells r) 0 rs in
-  sum d.added - sum d.removed
-
 let apply_with_delta ~semantics registry op db =
   (match explain_inapplicable registry op db with
   | Some reason -> error "fira: %s inapplicable: %s" (Op.to_string op) reason

@@ -40,11 +40,6 @@ type delta = {
       (** Relations added, or the new versions of replaced ones. *)
 }
 
-val delta_cells : delta -> int
-(** Net change in total cell count (Σ cardinality × arity over [added] minus
-    the same over [removed]) — add to the predecessor's total to get the
-    successor's without scanning it. *)
-
 val apply_with_delta :
   semantics:[ `Full | `Syntactic ] ->
   Semfun.registry ->
@@ -77,6 +72,9 @@ type idelta = {
 }
 
 val idelta_cells : idelta -> int
+(** Net change in total cell count (Σ cardinality × arity over [iadded]
+    minus the same over [iremoved]) — add to the predecessor's total to
+    get the successor's without scanning it. *)
 
 val iapplicable : Semfun.registry -> Op.t -> Idb.t -> bool
 (** {!applicable} over the interned form. *)

@@ -207,44 +207,33 @@ type retained = {
   r_frontier : Tupelo.Discover.frontier;
 }
 
-type anytime_task =
-  | A_miss of admitted  (** admitted on the loop, cache already missed *)
-  | A_raw of string  (** oversized body: worker admits and probes *)
-  | A_resume of retained  (** redeemed checkpoint: continue the search *)
+type task =
+  | Admitted of admitted  (** admitted on the loop, cache already missed *)
+  | Raw of string  (** oversized body: the worker admits and probes *)
+  | Resume of retained  (** redeemed checkpoint: continue the search *)
 
-type work =
-  | W_search of {
-      w_cid : int;
-      w_keep : bool;
-      w_adm : admitted;
-      w_started : float;
-    }  (** exact cache miss: worker builds, sketches, warm-probes, searches *)
-  | W_full of {
-      f_cid : int;
-      f_keep : bool;
-      f_body : string;
-      f_started : float;
-    }  (** oversized body: worker admits, probes and serves *)
-  | W_anytime of {
-      a_cid : int;
-      a_keep : bool;
-      a_task : anytime_task;
-      a_token : string;
-          (** pre-allocated resume token, quoted in the final frame iff
-              the search checkpoints a frontier *)
-      a_started : float;
-    }
+(* A /discover the loop could not answer itself, on its way to a
+   worker. *)
+type job = {
+  cid : int;
+  keep : bool;
+  started : float;
+  task : task;
+  stream : string option;
+      (** [Some token] on the anytime and resume routes: the search
+          streams its incumbents, and the final frame quotes [token] iff
+          it checkpoints a frontier. Drawn at dispatch: the worker quotes
+          it before the checkpoint is back on the reactor to be kept. *)
+}
 
-(* What a worker hands back to the reactor. A plain request completes
-   with one [P_response]; an anytime request streams [P_chunk] frames
-   and always ends with exactly one [P_done] (worker errors become
-   in-stream error frames — the chunked header is already on the
-   wire). *)
+(* What a worker hands back to the reactor: one [P_response], or a
+   stream of [P_chunk]s ended by exactly one [P_done]. Stream payloads
+   are wire bytes, the first of them led by the chunked head. *)
 type payload =
   | P_response of Http.response
-  | P_chunk of string  (** one newline-terminated frame, not yet chunk-framed *)
+  | P_chunk of string  (** mid-stream bytes; the request stays in flight *)
   | P_done of {
-      d_body : string;  (** final frame, newline-terminated *)
+      d_bytes : string;  (** the final frame's chunk and the zero chunk *)
       d_retain : (string * retained) option;  (** token → checkpoint *)
     }
 
@@ -258,7 +247,7 @@ type t = {
   agg : Telemetry.Agg.t;
   mapping_cache : Cache_entry.t Cache.t;
   frontiers : retained Frontier.t;  (** reactor-thread only *)
-  queue : work Admission.t;
+  queue : job Admission.t;
   listen_fd : Unix.file_descr;
   bound_port : int;
   shutdown : bool Atomic.t;
@@ -391,57 +380,12 @@ let response_of_entry (e : Cache_entry.t) ~elapsed_ms ~cache :
     resume_token = None;
   }
 
-(* The shared tail of both executors: build the response, cache full
-   (non-partial) mappings, bump the outcome counters. *)
-let finish_execution t (p : prepared) ~sketch ~cache_label ~timed_out started
-    outcome =
-  let elapsed_ms = (Unix.gettimeofday () -. started) *. 1000. in
-  let resp =
-    match outcome with
-    | Tupelo.Discover.Mapping m ->
-        let entry =
-          {
-            Cache_entry.mapping = Fira.Expr.to_string m.Tupelo.Mapping.expr;
-            expr = Fira.Parser.expr_to_file_string m.Tupelo.Mapping.expr;
-            operators = Tupelo.Mapping.length m;
-            algorithm = m.Tupelo.Mapping.algorithm;
-            heuristic = m.Tupelo.Mapping.heuristic;
-            goal = p.adm.p_goal;
-            states_examined =
-              m.Tupelo.Mapping.stats.Search.Space.examined;
-          }
-        in
-        (* A partial-goal mapping reaches a sub-target: never cache it
-           as the pair's mapping. *)
-        if p.adm.p_partial = [] then
-          Cache.add t.mapping_cache ~sketch p.adm.p_key entry;
-        response_of_entry entry ~elapsed_ms ~cache:cache_label
-    | Tupelo.Discover.No_mapping stats | Tupelo.Discover.Gave_up stats ->
-        let outcome_name =
-          match outcome with
-          | Tupelo.Discover.No_mapping _ -> "no_mapping"
-          | _ -> if timed_out then "timeout" else "gave_up"
-        in
-        {
-          Protocol.outcome = outcome_name;
-          mapping = None;
-          expr = None;
-          operators = 0;
-          res_algorithm =
-            Tupelo.Discover.algorithm_name p.adm.p_algorithm;
-          res_heuristic = p.adm.p_heuristic.Heuristics.Heuristic.name;
-          states_examined = stats.Search.Space.examined;
-          elapsed_ms;
-          cache = cache_label;
-          incumbents = 0;
-          resume_token = None;
-        }
-  in
-  Telemetry.count t.tel (Ev.resp resp.Protocol.outcome) 1;
-  Telemetry.count t.tel Ev.states resp.Protocol.states_examined;
-  resp
-
-let search_setup t (p : prepared) =
+(* Search a missed pair under the request's deadline, then build the
+   response, cache a full (non-partial) mapping and bump the outcome
+   counters. With [on_incumbent] the search runs with the anytime layer
+   on, reports each improving incumbent through it and may hand back a
+   checkpoint; without, it is a plain [Discover.discover]. *)
+let execute t (p : prepared) ~warm ~sketch ~resume ?on_incumbent started =
   let deadline =
     Unix.gettimeofday () +. (float_of_int p.adm.p_timeout_ms /. 1000.)
   in
@@ -466,46 +410,78 @@ let search_setup t (p : prepared) =
       ~heuristic:p.adm.p_heuristic ~goal:p.adm.p_goal ~partial:p.adm.p_partial
       ~budget:p.adm.p_budget ~jobs:p.adm.p_jobs ~telemetry:search_tel ()
   in
-  (stop, timed_out, dconfig)
-
-let execute t (p : prepared) ~warm ~sketch started =
+  let registry = p.adm.p_registry
+  and source = p.p_source
+  and target = p.p_target in
+  let streamed = ref 0 in
+  let outcome, frontier =
+    match on_incumbent with
+    | None ->
+        ( Tupelo.Discover.discover ~registry ~stop ~warm_start:warm dconfig
+            ~source ~target,
+          None )
+    | Some report ->
+        let on_incumbent inc =
+          incr streamed;
+          Telemetry.count t.tel Ev.incumbents 1;
+          report inc
+        in
+        let r =
+          Tupelo.Discover.discover_anytime ~registry ~stop ~warm_start:warm
+            ~on_incumbent ?resume dconfig ~source ~target
+        in
+        (r.Tupelo.Discover.a_outcome, r.Tupelo.Discover.a_frontier)
+  in
+  let elapsed_ms = (Unix.gettimeofday () -. started) *. 1000. in
   (* "warm" when a near-miss cache entry seeded the search, "miss" for a
      cold search — whatever the outcome, so clients can attribute cost. *)
-  let cache_label = if warm = [] then "miss" else "warm" in
-  let stop, timed_out, dconfig = search_setup t p in
-  let outcome =
-    Tupelo.Discover.discover ~registry:p.adm.p_registry ~stop ~warm_start:warm
-      dconfig ~source:p.p_source ~target:p.p_target
-  in
-  finish_execution t p ~sketch ~cache_label ~timed_out:!timed_out started
-    outcome
-
-(* The anytime executor: stream incumbents through [on_incumbent] and
-   hand back the would-be-final response plus the checkpoint, if the
-   engine materialized one. *)
-let execute_anytime t (p : prepared) ~warm ~sketch ~resume ~on_incumbent
-    started =
   let cache_label =
     if resume <> None then "resume" else if warm = [] then "miss" else "warm"
   in
-  let stop, timed_out, dconfig = search_setup t p in
-  let streamed = ref 0 in
-  let on_inc inc =
-    incr streamed;
-    Telemetry.count t.tel Ev.incumbents 1;
-    on_incumbent inc
-  in
-  let result =
-    Tupelo.Discover.discover_anytime ~registry:p.adm.p_registry ~stop
-      ~warm_start:warm ~on_incumbent:on_inc ?resume dconfig
-      ~source:p.p_source ~target:p.p_target
-  in
   let resp =
-    finish_execution t p ~sketch ~cache_label ~timed_out:!timed_out started
-      result.Tupelo.Discover.a_outcome
+    match outcome with
+    | Tupelo.Discover.Mapping m ->
+        let entry =
+          {
+            Cache_entry.mapping = Fira.Expr.to_string m.Tupelo.Mapping.expr;
+            expr = Fira.Parser.expr_to_file_string m.Tupelo.Mapping.expr;
+            operators = Tupelo.Mapping.length m;
+            algorithm = m.Tupelo.Mapping.algorithm;
+            heuristic = m.Tupelo.Mapping.heuristic;
+            goal = p.adm.p_goal;
+            states_examined =
+              m.Tupelo.Mapping.stats.Search.Space.examined;
+          }
+        in
+        (* A partial-goal mapping reaches a sub-target: never cache it
+           as the pair's mapping. *)
+        if p.adm.p_partial = [] then
+          Cache.add t.mapping_cache ~sketch p.adm.p_key entry;
+        response_of_entry entry ~elapsed_ms ~cache:cache_label
+    | Tupelo.Discover.No_mapping stats | Tupelo.Discover.Gave_up stats ->
+        let outcome_name =
+          match outcome with
+          | Tupelo.Discover.No_mapping _ -> "no_mapping"
+          | _ -> if !timed_out then "timeout" else "gave_up"
+        in
+        {
+          Protocol.outcome = outcome_name;
+          mapping = None;
+          expr = None;
+          operators = 0;
+          res_algorithm =
+            Tupelo.Discover.algorithm_name p.adm.p_algorithm;
+          res_heuristic = p.adm.p_heuristic.Heuristics.Heuristic.name;
+          states_examined = stats.Search.Space.examined;
+          elapsed_ms;
+          cache = cache_label;
+          incumbents = 0;
+          resume_token = None;
+        }
   in
-  ({ resp with Protocol.incumbents = !streamed },
-   result.Tupelo.Discover.a_frontier)
+  Telemetry.count t.tel (Ev.resp resp.Protocol.outcome) 1;
+  Telemetry.count t.tel Ev.states resp.Protocol.states_examined;
+  ({ resp with Protocol.incumbents = !streamed }, frontier)
 
 (* The program of the closest near-miss cache entry, to seed a search
    with. Entries whose saved expression fails to parse (impossible for
@@ -522,15 +498,7 @@ let warm_start t (p : prepared) sketch =
       | Ok e -> Fira.Algebra.normalize (Fira.Expr.ops e)
       | Error _ -> [])
 
-(* Exact miss: sketch the pair (off-loop — sorting every row term is the
-   expensive part of near-miss matching), probe the owning shard for a
-   warm seed, then search. *)
-let run_discover t (p : prepared) started =
-  let sketch = Cache.sketch_of_pair ~source:p.p_source ~target:p.p_target in
-  execute t p ~warm:(warm_start t p sketch) ~sketch started
-
 let error_response exn started =
-  (* a worker must never die: report the failure as a response *)
   {
     Protocol.outcome = "gave_up";
     mapping = None;
@@ -578,20 +546,10 @@ let probe_sub t body ~off ~len =
       | Some entry -> Hit entry
       | None -> Miss a)
 
-let probe t body = probe_sub t body ~off:0 ~len:(String.length body)
-
 let hit_response t entry started =
   let elapsed_ms = (Unix.gettimeofday () -. started) *. 1000. in
   Telemetry.count t.tel (Ev.resp "mapping") 1;
-  response_of_entry entry ~elapsed_ms ~cache:"hit"
-
-(* The oversized-body path: everything the event loop would have done,
-   off-loop. *)
-let full_response t body started =
-  match probe t body with
-  | Rejected m -> Http.response 400 (Protocol.error_body m)
-  | Hit entry -> encode_discover (hit_response t entry started)
-  | Miss a -> encode_discover (run_discover t (build a) started)
+  encode_discover (response_of_entry entry ~elapsed_ms ~cache:"hit")
 
 let post_completion t comp =
   Mutex.lock t.comp_mu;
@@ -600,8 +558,6 @@ let post_completion t comp =
   (* wake the event loop; harmless if it is already awake or gone *)
   try ignore (Unix.write_substring t.wake_w "c" 0 1)
   with Unix.Unix_error _ -> ()
-
-(* --- the anytime worker path --- *)
 
 let frame_of_incumbent (inc : Tupelo.Discover.incumbent) =
   Protocol.encode_incumbent
@@ -622,85 +578,69 @@ let frame_of_incumbent (inc : Tupelo.Discover.incumbent) =
           (Fira.Expr.of_ops inc.Tupelo.Discover.inc_ops);
     }
 
-let frame_line json = Json.to_string json ^ "\n"
-
-(* Run one anytime task to completion, streaming each incumbent back to
-   the reactor as its own [P_chunk] and ending with the [P_done] final
-   frame. Always produces exactly one [P_done]: any failure after the
-   chunked header went on the wire must travel as an in-stream error
-   frame, not an HTTP status. *)
-let run_anytime t ~cid ~keep ~token ~started task =
-  let emit payload = post_completion t { c_cid = cid; c_keep = keep; c_payload = payload } in
-  let on_incumbent inc = emit (P_chunk (frame_line (frame_of_incumbent inc))) in
+(* Serve one job: admit and probe a raw body, build a missed pair's
+   databases, search, answer. A plain job posts one [P_response]. A
+   streamed one posts each incumbent as a chunk and ends with one
+   [P_done]; its chunked head goes out in front of its first frame, so
+   until then (a 400, a cache hit, a failure) it answers exactly as a
+   plain job. *)
+let run_job t (j : job) =
+  let post payload =
+    post_completion t { c_cid = j.cid; c_keep = j.keep; c_payload = payload }
+  in
+  let respond resp = post (P_response resp) in
+  let opened = ref false in
+  let frame json =
+    let chunk = Http.chunk (Json.to_string json ^ "\n") in
+    if !opened then chunk
+    else begin
+      opened := true;
+      Http.chunked_head ~keep_alive:j.keep 200 ^ chunk
+    end
+  in
   let finish ?retain json =
-    emit (P_done { d_body = frame_line json; d_retain = retain })
+    post (P_done { d_bytes = frame json ^ Http.last_chunk; d_retain = retain })
   in
-  let serve p ~resume =
-    let sketch =
-      Cache.sketch_of_pair ~source:p.p_source ~target:p.p_target
-    in
+  let search p ~resume =
+    (* sketched here, off the loop: sorting every row term is the
+       expensive part of near-miss matching *)
+    let sketch = Cache.sketch_of_pair ~source:p.p_source ~target:p.p_target in
     let warm = if resume <> None then [] else warm_start t p sketch in
-    let resp, frontier =
-      execute_anytime t p ~warm ~sketch ~resume ~on_incumbent started
-    in
-    match frontier with
-    | None -> finish (Protocol.encode_final resp)
-    | Some fr ->
-        finish ~retain:(token, { r_prep = p; r_frontier = fr })
-          (Protocol.encode_final
-             { resp with Protocol.resume_token = Some token })
+    match j.stream with
+    | None ->
+        respond
+          (encode_discover (fst (execute t p ~warm ~sketch ~resume j.started)))
+    | Some token -> (
+        let on_incumbent inc = post (P_chunk (frame (frame_of_incumbent inc))) in
+        match execute t p ~warm ~sketch ~resume ~on_incumbent j.started with
+        | resp, None -> finish (Protocol.encode_final resp)
+        | resp, Some fr ->
+            finish ~retain:(token, { r_prep = p; r_frontier = fr })
+              (Protocol.encode_final
+                 { resp with Protocol.resume_token = Some token }))
   in
-  match task with
-  | A_miss a -> serve (build a) ~resume:None
-  | A_resume r -> serve r.r_prep ~resume:(Some r.r_frontier)
-  | A_raw body -> (
-      match probe t body with
-      | Rejected m -> finish (Protocol.encode_error_frame m)
-      | Hit entry ->
-          finish (Protocol.encode_final (hit_response t entry started))
-      | Miss a -> serve (build a) ~resume:None)
+  try
+    match j.task with
+    | Admitted a -> search (build a) ~resume:None
+    | Resume r -> search r.r_prep ~resume:(Some r.r_frontier)
+    | Raw body -> (
+        match probe_sub t body ~off:0 ~len:(String.length body) with
+        | Rejected m -> respond (Http.response 400 (Protocol.error_body m))
+        | Hit entry -> respond (hit_response t entry j.started)
+        | Miss a -> search (build a) ~resume:None)
+  with exn ->
+    (* a worker must never die: the failure is the job's answer, an
+       in-stream error frame once the stream has begun *)
+    if !opened then
+      finish (Protocol.encode_error_frame (Printexc.to_string exn))
+    else respond (encode_discover (error_response exn j.started))
 
 let worker_loop t =
   let rec go () =
     match Admission.take t.queue with
     | None -> ()
-    | Some work ->
-        (match work with
-        | W_search w ->
-            let resp =
-              try encode_discover (run_discover t (build w.w_adm) w.w_started)
-              with exn -> encode_discover (error_response exn w.w_started)
-            in
-            post_completion t
-              { c_cid = w.w_cid; c_keep = w.w_keep; c_payload = P_response resp }
-        | W_full f ->
-            let resp =
-              try full_response t f.f_body f.f_started
-              with exn -> encode_discover (error_response exn f.f_started)
-            in
-            post_completion t
-              { c_cid = f.f_cid; c_keep = f.f_keep; c_payload = P_response resp }
-        | W_anytime a -> (
-            try
-              run_anytime t ~cid:a.a_cid ~keep:a.a_keep ~token:a.a_token
-                ~started:a.a_started a.a_task
-            with exn ->
-              (* the chunked header is already on the wire: the stream
-                 must still end with exactly one final chunk *)
-              post_completion t
-                {
-                  c_cid = a.a_cid;
-                  c_keep = a.a_keep;
-                  c_payload =
-                    P_done
-                      {
-                        d_body =
-                          frame_line
-                            (Protocol.encode_error_frame
-                               (Printexc.to_string exn));
-                        d_retain = None;
-                      };
-                }));
+    | Some job ->
+        run_job t job;
         (* Collect this domain's (large) minor heap now, right after
            the response was posted, so the deferred collection does not
            land mid-flood on the reactor's hit path later. It is not
@@ -716,7 +656,8 @@ let worker_loop t =
   go ()
 
 (* --- the reactor: one thread, non-blocking fds, per-connection state
-   machines over Http.parse_buffered --- *)
+   machines that carve requests out of their input buffers (Http.carve)
+   and read each body where it lies --- *)
 
 type conn = {
   cid : int;
@@ -762,41 +703,12 @@ let try_flush c =
   in
   go ()
 
-let dispatch t c ~keep work =
-  match Admission.submit t.queue work with
+let dispatch t c job =
+  match Admission.submit t.queue job with
   | `Admitted -> c.in_flight <- true
   | `Busy ->
       Telemetry.count t.tel Ev.reject_busy 1;
-      enqueue_response c ~keep
-        (Http.response 429 (Protocol.error_body "admission queue is full"))
-  | `Closed ->
-      Telemetry.count t.tel Ev.reject_shutdown 1;
-      enqueue_response c ~keep:false
-        (Http.response 503 (Protocol.error_body "server is shutting down"))
-
-(* Admit an anytime task. On admission the chunked response header goes
-   on the wire immediately — from here on, failures travel as in-stream
-   error frames. Rejections happen before the header commits, so they
-   are still ordinary status responses. *)
-let dispatch_anytime t c ~keep ~started task =
-  let a_token = Frontier.fresh_token t.frontiers in
-  match
-    Admission.submit t.queue
-      (W_anytime
-         {
-           a_cid = c.cid;
-           a_keep = keep;
-           a_task = task;
-           a_token;
-           a_started = started;
-         })
-  with
-  | `Admitted ->
-      c.in_flight <- true;
-      Queue.push (Http.chunked_head ~keep_alive:keep 200) c.outq
-  | `Busy ->
-      Telemetry.count t.tel Ev.reject_busy 1;
-      enqueue_response c ~keep
+      enqueue_response c ~keep:job.keep
         (Http.response 429 (Protocol.error_body "admission queue is full"))
   | `Closed ->
       Telemetry.count t.tel Ev.reject_shutdown 1;
@@ -831,6 +743,14 @@ let handle_on_loop t c (req : Http.request) ~body_off ~body_len =
       enqueue_response c ~keep (Http.response 200 (stats_json t))
   | "POST", "/discover" -> (
       Telemetry.count t.tel Ev.req_discover 1;
+      (* a stream's resume token is drawn now, before the worker quotes
+         it; a plain request draws none (a /dev/urandom read) *)
+      let submit ~stream task =
+        let stream =
+          if stream then Some (Frontier.fresh_token t.frontiers) else None
+        in
+        dispatch t c { cid = c.cid; keep; started; task; stream }
+      in
       match List.assoc_opt "resume" params with
       | Some token -> (
           Telemetry.count t.tel Ev.req_resume 1;
@@ -839,22 +759,11 @@ let handle_on_loop t c (req : Http.request) ~body_off ~body_len =
               enqueue_response c ~keep
                 (Http.response 404
                    (Protocol.error_body "unknown or expired resume token"))
-          | Some retained ->
-              dispatch_anytime t c ~keep ~started (A_resume retained))
+          | Some retained -> submit ~stream:true (Resume retained))
       | None -> (
-          let anytime = truthy (List.assoc_opt "anytime" params) in
+          let stream = truthy (List.assoc_opt "anytime" params) in
           if body_len > loop_parse_max then
-            let body = Bytes.sub_string c.inbuf body_off body_len in
-            if anytime then dispatch_anytime t c ~keep ~started (A_raw body)
-            else
-              dispatch t c ~keep
-                (W_full
-                   {
-                     f_cid = c.cid;
-                     f_keep = keep;
-                     f_body = body;
-                     f_started = started;
-                   })
+            submit ~stream (Raw (Bytes.sub_string c.inbuf body_off body_len))
           else
             (* read in place: [probe_sub] keeps no reference to the
                buffer, which is not touched until this returns *)
@@ -868,19 +777,8 @@ let handle_on_loop t c (req : Http.request) ~body_off ~body_len =
             | Hit entry ->
                 (* a hit needs no stream, even on the anytime route: it is
                    a plain content-length response (clients accept both) *)
-                enqueue_response c ~keep
-                  (encode_discover (hit_response t entry started))
-            | Miss a ->
-                if anytime then dispatch_anytime t c ~keep ~started (A_miss a)
-                else
-                  dispatch t c ~keep
-                    (W_search
-                       {
-                         w_cid = c.cid;
-                         w_keep = keep;
-                         w_adm = a;
-                         w_started = started;
-                       })))
+                enqueue_response c ~keep (hit_response t entry started)
+            | Miss a -> submit ~stream (Admitted a)))
   | _, _ ->
       Telemetry.count t.tel Ev.req_unknown 1;
       enqueue_response c ~keep
@@ -1013,16 +911,16 @@ let serve_loop t =
                 enqueue_response c ~keep resp;
                 (* resume pipelined requests buffered behind the search *)
                 process t c
-            | P_chunk data ->
-                (* mid-stream frame: the request stays in flight *)
-                Queue.push (Http.chunk data) c.outq
-            | P_done { d_body; d_retain } ->
+            | P_chunk bytes ->
+                (* mid-stream: the request stays in flight *)
+                Queue.push bytes c.outq
+            | P_done { d_bytes; d_retain } ->
                 (match d_retain with
                 | Some (token, retained) ->
                     Frontier.put t.frontiers ~now:(Unix.gettimeofday ())
                       ~token retained
                 | None -> ());
-                Queue.push (Http.chunk d_body ^ Http.last_chunk) c.outq;
+                Queue.push d_bytes c.outq;
                 c.in_flight <- false;
                 if (not c_keep) || Atomic.get t.shutdown || c.peer_eof then
                   c.close_after_flush <- true;

@@ -2,21 +2,22 @@
 
     A long-running HTTP/1.1 + JSON service (stdlib [Unix] + [Thread] +
     [Domain] only) built as a readiness-driven event loop feeding a
-    pool of domains:
+    pool of worker threads:
 
     - One reactor thread owns every socket: non-blocking accept,
-      per-connection input buffers parsed incrementally
-      ({!Http.parse_buffered}), keep-alive with pipelining (responses
-      in request order), and non-blocking buffered writes. Cache hits,
-      [/healthz], [/stats] and every 4xx are answered directly on the
-      loop — they are never queued behind a search.
+      per-connection input buffers out of which each complete request is
+      carved ({!Http.carve}) and its body read in place, keep-alive with
+      pipelining (responses in request order), and non-blocking buffered
+      writes. [/healthz], [/stats], every 4xx and, for a body up to
+      64 KiB, its cache hit or 400 are answered directly on the loop —
+      they are never queued behind a search.
     - [POST /discover] — body {!Protocol.discover_request}: relations
       inline as CSV. The loop validates the request and computes its
       cache key while tokenizing the CSV, building no relation, and
       consults the sharded {!Cache}; a hit answers immediately. A miss
       is submitted to the bounded {!Admission} queue — full queue means
       an immediate 429 — and executed, its databases built only then,
-      by a pool of [workers] OCaml domains ({!Tupelo.Discover} with the
+      by one of [workers] worker threads ({!Tupelo.Discover} with the
       configured [jobs] search domains, warm-started from near-miss
       cache entries) under a per-request deadline enforced through the
       cooperative [stop]/[Cancelled] path. Bodies over 64 KiB are shipped to the
@@ -24,7 +25,10 @@
     - [POST /discover?anytime=1] — same body, streamed response: a
       chunked sequence of newline-delimited frames (see
       {!Protocol.frame}) — improving incumbents as the search runs,
-      then one final frame. A search that gives up with a resumable
+      then one final frame. The chunked head goes out with the first
+      frame, so until then the route answers exactly as the plain one:
+      a 400, a content-length cache hit, or the plain error response if
+      the worker fails. A search that gives up with a resumable
       engine checkpoint parks it in a bounded, TTL'd {!Frontier} store
       and quotes a single-use [resume_token] in the final frame;
       [POST /discover?resume=<token>] redeems it and continues the
@@ -61,7 +65,9 @@ type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
   port : int;  (** 0 picks an ephemeral port (see {!port}) *)
   queue_capacity : int;  (** admission bound; beyond it requests get 429 *)
-  workers : int;  (** discovery worker domains *)
+  workers : int;
+      (** concurrent discovery searches: worker threads, packed onto at
+          most [cores - 1] domains (see {!start}) *)
   jobs : int;  (** search domains per request (when the request says 0) *)
   budget : int;  (** cap on any request's states-examined budget *)
   timeout_ms : int;  (** default per-request search deadline *)
@@ -107,7 +113,7 @@ val config :
   ?trace_sink:Telemetry.Sink.t ->
   unit ->
   config
-(** Defaults: 127.0.0.1:8080, queue 64, 2 worker domains, 1 job,
+(** Defaults: 127.0.0.1:8080, queue 64, 2 workers, 1 job,
     one-million state budget cap, 30s search timeout, 10s read timeout,
     8 MiB payloads, 256 cache entries in 8 shards, 32 retained
     frontiers with a 5-minute TTL, search telemetry on (it takes
@@ -141,8 +147,10 @@ val admitted_key : admitted -> Cache.key * Cache.route
 type t
 
 val start : config -> t
-(** Bind, listen, spawn the reactor thread and the worker domains;
-    returns once the socket is accepting.
+(** Bind, listen, spawn the reactor thread and the [workers] worker
+    threads, spread over [max 1 (min workers (cores - 1))] domains so
+    that no more domains run busy than there are cores; returns once
+    the socket is accepting.
     @raise Unix.Unix_error if binding fails. *)
 
 val port : t -> int

@@ -1,9 +1,8 @@
 open Relational
 
 (* States carry the interned columnar database (Idb.t) — the form the
-   successor-generation hot path reads and writes — and materialize the
-   boxed Database.t only on demand (goal reporting,
-   tests, server responses).
+   successor-generation hot path reads and writes. A caller that wants
+   the boxed Database.t converts [idb] itself.
 
    The profile is maintained incrementally but computed on demand: a fresh
    successor holds its parent and the operator's delta, and the profile is
@@ -21,10 +20,7 @@ type t = {
   idb : Idb.t;
   fp : Fingerprint.t;
   cells : int;  (* total cells, maintained from the parent's count + delta *)
-  mutable db : Database.t option;  (* boxed view, converted on demand *)
   mutable profile : profile_state;
-  mutable key : string option;
-      (* canonical key: tests and boxed cross-checks *)
   mutable score : (Heuristics.Profile.target * float * int) option;
       (* cosine parts (dot, sq_norm) against one target index, keyed by
          physical identity of that index — see [cosine_parts] *)
@@ -43,9 +39,7 @@ let of_database db =
        Fingerprint.of_database — bit-identical (property-tested). *)
     fp = Idb.fingerprint idb;
     cells = Idb.cells idb;
-    db = Some db;
     profile = Profile (Heuristics.Profile.of_idb idb);
-    key = None;
     score = None;
   }
 
@@ -54,9 +48,7 @@ let of_idb idb =
     idb;
     fp = Idb.fingerprint idb;
     cells = Idb.cells idb;
-    db = None;
     profile = Profile (Heuristics.Profile.of_idb idb);
-    key = None;
     score = None;
   }
 
@@ -129,62 +121,14 @@ let of_isuccessor parent (delta : Fira.Eval.idelta) idb =
     idb;
     fp = delta_fp parent.fp delta.iremoved delta.iadded;
     cells = parent.cells + Fira.Eval.idelta_cells delta;
-    db = None;
     profile = From_parent (parent, delta.iremoved, delta.iadded);
-    key = None;
-    score = None;
-  }
-
-let of_successor parent (delta : Fira.Eval.delta) db =
-  (* Boxed-delta construction, for callers that evaluated an operator over
-     the boxed database (tests, fuzzers). The interned database is rebuilt
-     by applying the delta to the parent's. *)
-  let intern side =
-    List.map
-      (fun (name, r) -> (Intern.string_id name, Irel.of_relation r))
-      side
-  in
-  let iremoved = intern delta.Fira.Eval.removed in
-  let iadded = intern delta.Fira.Eval.added in
-  let idb =
-    List.fold_left
-      (fun idb (name, _) -> Idb.remove idb name)
-      parent.idb iremoved
-  in
-  let idb =
-    List.fold_left (fun idb (name, r) -> Idb.add idb name r) idb iadded
-  in
-  {
-    idb;
-    fp = delta_fp parent.fp iremoved iadded;
-    cells = parent.cells + Fira.Eval.delta_cells delta;
-    db = Some db;
-    profile = From_parent (parent, iremoved, iadded);
-    key = None;
     score = None;
   }
 
 let idb s = s.idb
 
-let database s =
-  match s.db with
-  | Some db -> db
-  | None ->
-      let db = Idb.to_database s.idb in
-      s.db <- Some db;
-      db
-
 let fingerprint s = s.fp
 let total_cells s = s.cells
 
-let key s =
-  match s.key with
-  | Some k -> k
-  | None ->
-      let k = Database.canonical_key (database s) in
-      s.key <- Some k;
-      k
-
 let equal a b = Fingerprint.equal a.fp b.fp
 let same_content a b = Idb.equal a.idb b.idb
-let pp ppf s = Database.pp ppf (database s)

@@ -8,16 +8,14 @@
     relation-granular {!Fira.Eval.idelta} of the applied ℒ operator.
 
     The database itself lives in the interned columnar form
-    ({!Relational.Idb.t}); the boxed {!Relational.Database.t} view is
-    converted on demand (goal reporting, tests) and
-    cached. The fingerprint and cell count are computed eagerly (they gate
+    ({!Relational.Idb.t}); a caller that wants the boxed
+    {!Relational.Database.t} (goal reporting, tests) converts {!idb}. The
+    fingerprint and cell count are computed eagerly (they gate
     deduplication and pruning before a successor is even kept); the profile
     is maintained incrementally but materialized on first use, so
-    deduplicated or never-scored successors skip it entirely. The full
-    {!Relational.Database.canonical_key} serialization is likewise only
-    computed on demand. All on-demand caches are domain-safe: concurrent
-    scorers at worst recompute the same value (see the implementation note
-    in state.ml). *)
+    deduplicated or never-scored successors skip it entirely. The
+    on-demand caches are domain-safe: concurrent scorers at worst
+    recompute the same value (see the implementation note in state.ml). *)
 
 open Relational
 
@@ -36,15 +34,7 @@ val of_isuccessor : t -> Fira.Eval.idelta -> Idb.t -> t
     database. Equivalent to [of_idb idb] (a qcheck property checks
     structural equality of all derived views) at O(cells changed) cost. *)
 
-val of_successor : t -> Fira.Eval.delta -> Database.t -> t
-(** Boxed-delta counterpart of {!of_isuccessor}, for callers that applied
-    an operator over the boxed database (tests, fuzzers); the interned
-    database is rebuilt from the parent's by the delta. *)
-
 val idb : t -> Idb.t
-
-val database : t -> Database.t
-(** Boxed view; converted from the interned form on first use and cached. *)
 
 val fingerprint : t -> Fingerprint.t
 (** 128-bit identity; equal on two states iff their canonical keys are
@@ -52,9 +42,6 @@ val fingerprint : t -> Fingerprint.t
 
 val total_cells : t -> int
 (** Σ cardinality × arity over all relations. *)
-
-val key : t -> string
-(** Cached {!Database.canonical_key}; computed on first use. *)
 
 val profile : t -> Heuristics.Profile.t
 (** TNF profile for the heuristics, delta-maintained; materialized (and
@@ -84,5 +71,3 @@ val same_content : t -> t -> bool
 (** Canonical-key equivalence of the two databases, computed directly over
     the interned form (no serialization) — the collision check behind
     fingerprint-based deduplication. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1550,6 +1550,86 @@ let test_sink_keeps_search_events () =
     resp.Protocol.states_examined
     (Telemetry.Agg.counter agg "search.examine")
 
+(* A cold pair searched on the plain route and on the anytime route, each
+   on a fresh daemon so neither warms the other, must come out the same:
+   the stream only adds incumbent frames in front of the answer. Covers
+   a body admitted on the loop and one shipped to a worker whole. *)
+let test_plain_and_anytime_alike () =
+  let source, target = tagged_fig1_pair "alike_" in
+  List.iter
+    (fun (what, req) ->
+      let plain =
+        with_daemon @@ fun t _ ->
+        check_outcome (what ^ " plain") "mapping"
+          (discover_once ~port:(Daemon.port t) req)
+      in
+      let streamed =
+        with_daemon @@ fun t _ ->
+        let conn = Client.connect ~host:"127.0.0.1" ~port:(Daemon.port t) in
+        Fun.protect ~finally:(fun () -> Client.close conn) @@ fun () ->
+        fst (anytime_once conn req)
+      in
+      let same field f = Alcotest.(check string) (what ^ ": " ^ field) (f plain) (f streamed) in
+      same "outcome" (fun r -> r.Protocol.outcome);
+      same "mapping" (fun r -> Option.value r.Protocol.mapping ~default:"-");
+      same "expr" (fun r -> Option.value r.Protocol.expr ~default:"-");
+      Alcotest.(check int) (what ^ ": operators") plain.Protocol.operators
+        streamed.Protocol.operators;
+      Alcotest.(check int) (what ^ ": states_examined")
+        plain.Protocol.states_examined streamed.Protocol.states_examined;
+      Alcotest.(check (list string)) (what ^ ": cache labels")
+        [ "miss"; "miss" ]
+        [ plain.Protocol.cache; streamed.Protocol.cache ])
+    [
+      ("small", Protocol.request ~source ~target ());
+      ("oversized", big_rename_request ());
+    ]
+
+(* An oversized body is admitted on a worker, so on the anytime route a
+   rejection must still be a plain 400 (no stream header may precede
+   it), and a repeat of a good body a content-length cache hit. *)
+let test_oversized_anytime_bad_request () =
+  with_daemon @@ fun t agg ->
+  let port = Daemon.port t in
+  let big = big_rename_request () in
+  let twice side = side @ [ (fst (List.hd side), "name,id\ncarol,3\n") ] in
+  let anytime_raw req =
+    let fd = raw_connect port in
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    let body = Json.to_string (Protocol.encode_request req) in
+    send_all fd
+      (Printf.sprintf
+         "POST /discover?anytime=1 HTTP/1.1\r\nhost: t\r\ncontent-length: \
+          %d\r\n\r\n%s"
+         (String.length body) body);
+    Http.read_response (Http.Reader.of_fd fd)
+  in
+  let status, headers, body =
+    anytime_raw { big with Protocol.target = twice big.Protocol.target }
+  in
+  Alcotest.(check int) "bad oversized anytime: status" 400 status;
+  Alcotest.(check bool) "not streamed" false (Http.response_chunked headers);
+  Alcotest.(check string) "the plain route's error body"
+    (Protocol.error_body {|target relation "S": duplicate relation name|})
+    body;
+  Alcotest.(check int) "counted as a bad request" 1
+    (Telemetry.Agg.counter agg "server.reject.bad_request");
+  Alcotest.(check int) "no cache probe" 0
+    (Telemetry.Agg.counter agg "cache.miss" + Telemetry.Agg.counter agg "cache.hit");
+  let conn = Client.connect ~host:"127.0.0.1" ~port in
+  let first =
+    Fun.protect ~finally:(fun () -> Client.close conn) @@ fun () ->
+    fst (anytime_once conn big)
+  in
+  Alcotest.(check string) "good oversized anytime: a miss" "miss"
+    first.Protocol.cache;
+  let status, headers, body = anytime_raw big in
+  Alcotest.(check int) "repeat: status" 200 status;
+  Alcotest.(check bool) "repeat: content-length, not streamed" true
+    (List.mem_assoc "content-length" headers
+    && not (Http.response_chunked headers));
+  Alcotest.(check string) "repeat: a hit" "hit" (decoded_response body).Protocol.cache
+
 let suite =
   [
     Alcotest.test_case "http: parses a simple request" `Quick
@@ -1644,4 +1724,8 @@ let suite =
       test_sink_keeps_search_events;
     Alcotest.test_case "e2e: a float request is keyed unbuilt, then hits" `Quick
       test_float_request_keyed_and_hit;
+    Alcotest.test_case "e2e: plain and anytime serve one cold pair alike" `Quick
+      test_plain_and_anytime_alike;
+    Alcotest.test_case "e2e: oversized anytime bad request is a 400" `Quick
+      test_oversized_anytime_bad_request;
   ]

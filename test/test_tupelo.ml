@@ -30,11 +30,13 @@ let test_goal_mode_strings () =
 
 (* --- state caching --- *)
 
+let state_key s = Database.canonical_key (Idb.to_database (Tupelo.State.idb s))
+
 let test_state () =
   let s = Tupelo.State.of_database Workloads.Flights.b in
   Alcotest.(check string) "key is canonical"
     (Database.canonical_key Workloads.Flights.b)
-    (Tupelo.State.key s);
+    (state_key s);
   let s2 = Tupelo.State.of_database Workloads.Flights.b in
   Alcotest.(check bool) "equal states" true (Tupelo.State.equal s s2)
 
@@ -177,7 +179,7 @@ let test_successors_dedupe () =
       Fira.Semfun.empty_registry info
       (Tupelo.State.of_database source)
   in
-  let keys = List.map (fun (_, s) -> Tupelo.State.key s) succs in
+  let keys = List.map (fun (_, s) -> state_key s) succs in
   Alcotest.(check int) "keys distinct"
     (List.length keys)
     (List.length (List.sort_uniq String.compare keys))
@@ -205,8 +207,8 @@ let test_paranoid_cross_check () =
   (* Open list of (estimate, arrival order, state); the least pair first. *)
   let open_ = ref [] and arrivals = ref 0 in
   let push s =
-    if not (Hashtbl.mem visited (Tupelo.State.key s)) then begin
-      Hashtbl.add visited (Tupelo.State.key s) ();
+    if not (Hashtbl.mem visited (state_key s)) then begin
+      Hashtbl.add visited (state_key s) ();
       incr arrivals;
       open_ := List.merge compare [ (h s, !arrivals, s) ] !open_
     end
@@ -220,14 +222,14 @@ let test_paranoid_cross_check () =
           s
       | [] -> assert false
     in
-    let db = Tupelo.State.database parent in
+    let db = Idb.to_database (Tupelo.State.idb parent) in
     List.iter
       (fun (op, s') ->
         let db', _ = Fira.Eval.apply_syntactic_delta registry op db in
         incr checked;
         Alcotest.(check string)
           ("canonical key: " ^ Fira.Op.to_string op)
-          (Database.canonical_key db') (Tupelo.State.key s');
+          (Database.canonical_key db') (state_key s');
         Alcotest.(check bool)
           ("fingerprint: " ^ Fira.Op.to_string op)
           true
@@ -266,7 +268,7 @@ let test_successors_collision_accounting () =
       Fira.Semfun.empty_registry info
       (Tupelo.State.of_database source)
   in
-  let keys = List.map (fun (_, s) -> Tupelo.State.key s) succs in
+  let keys = List.map (fun (_, s) -> state_key s) succs in
   Alcotest.(check int) "result keys distinct"
     (List.length keys)
     (List.length (List.sort_uniq String.compare keys));
