@@ -93,7 +93,55 @@ let compare_rows a b =
   go 0
 
 let canonicalize rows = List.sort_uniq compare_rows rows
+
+(* [compare_rows] of rows [i] and [i'] of columns [cols], from column [j]. *)
+let rec compare_col_rows cols i i' j =
+  if j >= Array.length cols then 0
+  else
+    let col = Array.unsafe_get cols j in
+    let c =
+      Intern.compare_values (Array.unsafe_get col i) (Array.unsafe_get col i')
+    in
+    if c <> 0 then c else compare_col_rows cols i i' (j + 1)
+
+(* The first [n] rows of [cols] increase strictly: they are canonical. *)
+let rows_increasing cols n =
+  let rec go i = i >= n || (compare_col_rows cols (i - 1) i 0 < 0 && go (i + 1)) in
+  go 1
+
 let of_rows atts rows = make atts (canonicalize rows)
+
+(* The first [n] rows of [cols] as a relation, exactly [of_rows] of those
+   rows. Rows that already increase strictly are shared as they are.
+   Otherwise an index permutation is sorted in [compare_rows]' order,
+   repeats are dropped and the columns gathered: compare-equal rows are
+   id-identical, so it does not matter which of them is kept. *)
+let of_cols atts cols n =
+  let arity = Array.length atts in
+  if Array.length cols <> arity || n < 0
+     || Array.exists (fun col -> Array.length col < n) cols
+  then invalid_arg "Irel.of_cols: bad columns";
+  if rows_increasing cols n then
+    let cut col = if Array.length col = n then col else Array.sub col 0 n in
+    fresh atts (Array.map2 (fun att col -> fresh_col att (cut col)) atts cols) n
+  else begin
+    let perm = Array.init n Fun.id in
+    Array.stable_sort (fun i i' -> compare_col_rows cols i i' 0) perm;
+    let keep = Array.make n 0 and kept = ref 0 in
+    Array.iter
+      (fun i ->
+        if !kept = 0 || compare_col_rows cols keep.(!kept - 1) i 0 <> 0 then begin
+          keep.(!kept) <- i;
+          incr kept
+        end)
+      perm;
+    let keep = Array.sub keep 0 !kept in
+    fresh atts
+      (Array.map2
+         (fun att col -> fresh_col att (Array.map (Array.get col) keep))
+         atts cols)
+      !kept
+  end
 
 let index_of_opt t att =
   let n = Array.length t.atts in
@@ -281,67 +329,57 @@ let usable_name id =
 let promote r ~name_col ~value_col =
   let ni = index_of r name_col and vi = index_of r value_col in
   let nids = r.cols.(ni).ids and vids = r.cols.(vi).ids in
-  (* Dynamically created column names in first-seen (row) order, and
-     whether any tuple promotes into an EXISTING column (overwriting a
-     base cell, which can break row order). *)
-  let base_hit = ref false in
+  (* Dynamically created column names, in first-seen (row) order. *)
   let rev_new = ref [] in
   Array.iter
     (fun id ->
       match usable_name id with
-      | Some name ->
-          if mem_att r name then base_hit := true
-          else if not (List.mem name !rev_new) then rev_new := name :: !rev_new
-      | None -> ())
+      | Some name when not (mem_att r name || List.mem name !rev_new) ->
+          rev_new := name :: !rev_new
+      | _ -> ())
     nids;
-  let new_names = List.rev !rev_new in
-  if !base_hit then begin
-    (* Rare general case: per-row rebuild, re-canonicalized — exactly the
-       boxed implementation. *)
-    let atts' = Array.append r.atts (Array.of_list new_names) in
-    let base_arity = Array.length r.atts in
-    let arity' = Array.length atts' in
-    let index_of' name =
-      let rec go j = if atts'.(j) = name then j else go (j + 1) in
-      go 0
-    in
-    let rows' =
-      List.map
-        (fun row ->
-          let cells =
-            Array.init arity' (fun j ->
-                if j < base_arity then row.(j) else null_id)
-          in
-          (match usable_name row.(ni) with
-          | Some name -> cells.(index_of' name) <- row.(vi)
-          | None -> ());
-          cells)
-        (to_rows r)
-    in
-    of_rows atts' rows'
-  end
-  else if new_names = [] then
-    (* No usable names at all: the result is the input (the boxed path
-       rebuilds an identical relation); share it. *)
-    r
-  else begin
-    (* Hot path: only fresh columns are written. The base prefix of every
-       row is untouched and pairwise distinct, so the rows stay strictly
-       increasing — no re-canonicalization, and the base column records
-       (with their caches) are shared as-is. *)
-    let extra = Array.of_list new_names in
-    let ecols =
-      Array.map (fun name -> fresh_col name (Array.make r.nrows null_id)) extra
-    in
-    for i = 0 to r.nrows - 1 do
-      match usable_name (Array.unsafe_get nids i) with
-      | Some name ->
-          let rec slot j = if extra.(j) = name then j else slot (j + 1) in
-          (ecols.(slot 0)).ids.(i) <- vids.(i)
-      | None -> ()
-    done;
-    fresh (Array.append r.atts extra) (Array.append r.cols ecols) r.nrows
-  end
+  let extra = Array.of_list (List.rev !rev_new) in
+  let base_arity = Array.length r.atts and n = r.nrows in
+  let atts' = Array.append r.atts extra in
+  let ids' =
+    Array.init (Array.length atts') (fun j ->
+        if j < base_arity then r.cols.(j).ids else Array.make n null_id)
+  in
+  (* Each row writes its value cell under the column its name cell names:
+     a fresh column, or an existing one, overwritten for this row. A base
+     column is copied on its first changed cell; the others keep their
+     record, caches included. Cells are read from [r]'s own columns. *)
+  let written = Array.make base_arity false in
+  for i = 0 to n - 1 do
+    match usable_name (Array.unsafe_get nids i) with
+    | Some name ->
+        let rec slot j = if atts'.(j) = name then j else slot (j + 1) in
+        let j = slot 0 and v = vids.(i) in
+        if j >= base_arity then ids'.(j).(i) <- v
+        else if ids'.(j).(i) <> v then begin
+          if not written.(j) then begin
+            ids'.(j) <- Array.copy ids'.(j);
+            written.(j) <- true
+          end;
+          ids'.(j).(i) <- v
+        end
+    | None -> ()
+  done;
+  let overwrote = Array.mem true written in
+  if extra = [||] && not overwrote then r
+  else if overwrote && not (rows_increasing ids' n) then
+    (* the overwrite broke row order or made two rows equal *)
+    of_cols atts' ids' n
+  else
+    (* still strictly increasing: appended columns cannot reorder
+       distinct rows *)
+    fresh atts'
+      (Array.mapi
+         (fun j ids ->
+           if j < base_arity && not written.(j) then r.cols.(j)
+           else fresh_col atts'.(j) ids)
+         ids')
+      n
 
 let product a b =
   (match Array.find_opt (fun att -> mem_att b att) a.atts with
@@ -722,48 +760,6 @@ let merge r att =
            with a pointer check). *)
         r
 
-(* The first [n] rows of [cols] as a relation, exactly [of_rows] of those
-   rows. Rows that already increase strictly are shared as they are.
-   Otherwise an index permutation is sorted in [compare_rows]' order,
-   repeats are dropped and the columns gathered: compare-equal rows are
-   id-identical, so it does not matter which of them is kept. *)
-let of_cols atts cols n =
-  let arity = Array.length atts in
-  if Array.length cols <> arity || n < 0
-     || Array.exists (fun col -> Array.length col < n) cols
-  then invalid_arg "Irel.of_cols: bad columns";
-  let rec cmp i i' j =
-    if j >= arity then 0
-    else
-      let col = Array.unsafe_get cols j in
-      let c =
-        Intern.compare_values (Array.unsafe_get col i) (Array.unsafe_get col i')
-      in
-      if c <> 0 then c else cmp i i' (j + 1)
-  in
-  let rec increasing i = i >= n || (cmp (i - 1) i 0 < 0 && increasing (i + 1)) in
-  if increasing 1 then
-    let cut col = if Array.length col = n then col else Array.sub col 0 n in
-    fresh atts (Array.map2 (fun att col -> fresh_col att (cut col)) atts cols) n
-  else begin
-    let perm = Array.init n Fun.id in
-    Array.stable_sort (fun i i' -> cmp i i' 0) perm;
-    let keep = Array.make n 0 and kept = ref 0 in
-    Array.iter
-      (fun i ->
-        if !kept = 0 || cmp keep.(!kept - 1) i 0 <> 0 then begin
-          keep.(!kept) <- i;
-          incr kept
-        end)
-      perm;
-    let keep = Array.sub keep 0 !kept in
-    fresh atts
-      (Array.map2
-         (fun att col -> fresh_col att (Array.map (Array.get col) keep))
-         atts cols)
-      !kept
-  end
-
 let merge_chunks map ~chunk_rows chunks att =
   match chunks with
   | [] -> []
@@ -810,13 +806,16 @@ let take_idx r idxs =
     if i < 0 || i >= r.nrows || (k > 0 && idxs.(k - 1) >= i) then
       invalid_arg "Irel.take_idx: indices must be strictly increasing and in range"
   done;
-  (* A strictly-increasing gather of canonical rows is canonical. *)
-  let cols =
-    Array.map
-      (fun c -> fresh_col c.att (Array.map (fun i -> c.ids.(i)) idxs))
-      r.cols
-  in
-  fresh r.atts cols n
+  (* A strictly-increasing gather of canonical rows is canonical; one of
+     every row is the input. *)
+  if n = r.nrows then r
+  else
+    let cols =
+      Array.map
+        (fun c -> fresh_col c.att (Array.map (fun i -> c.ids.(i)) idxs))
+        r.cols
+    in
+    fresh r.atts cols n
 
 let extend_cols r atts cols =
   let n_new = Array.length atts in
@@ -876,25 +875,10 @@ let project_away r att =
   let atts' = drop r.atts in
   (* Fast path: if the projected rows are still strictly increasing, the
      surviving columns (records and caches) can be shared as-is. *)
-  let arity' = Array.length atts' in
   let cols' = drop r.cols in
-  let still_sorted =
-    let rec cmp_from i1 i2 j =
-      if j >= arity' then 0
-      else
-        let c =
-          Intern.compare_values cols'.(j).ids.(i1) cols'.(j).ids.(i2)
-        in
-        if c <> 0 then c else cmp_from i1 i2 (j + 1)
-    in
-    let rec go i =
-      i >= r.nrows || (cmp_from (i - 1) i 0 < 0 && go (i + 1))
-    in
-    arity' > 0 && go 1
-  in
-  if still_sorted then
-    fresh atts' cols' r.nrows
-  else of_rows atts' (List.map drop (to_rows r))
+  let ids' = Array.map (fun c -> c.ids) cols' in
+  if rows_increasing ids' r.nrows then fresh atts' cols' r.nrows
+  else of_cols atts' ids' r.nrows
 
 let rename_att r ~old_name ~new_name =
   let i = index_of r old_name in

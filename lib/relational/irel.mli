@@ -108,6 +108,13 @@ val fingerprint : name:int -> t -> Fingerprint.t
 (** {1 ℒ operators} (mirrors of the {!Relation} functions) *)
 
 val promote : t -> name_col:int -> value_col:int -> t
+(** ↑ as {!Relation.promote}. Only the columns that get written are new:
+    every base column the promote does not overwrite is shared with its
+    caches, and fresh columns are appended. When an overwrite leaves the
+    rows out of order (or makes two equal) they are canonicalized as
+    {!of_cols} does. Returns its input physically when it changes no
+    cell. *)
+
 val demote : t -> rel_name:int -> att_att:int -> rel_att:int -> t
 val dereference : t -> target:int -> pointer_col:int -> t
 val merge : t -> int -> t
@@ -170,7 +177,8 @@ val filter_idx : t -> (int -> bool) -> t
 val take_idx : t -> int array -> t
 (** [take_idx r idxs]: gather the rows at the given strictly-increasing
     indices — a canonical subsequence, one gather per column. The bulk
-    executor's single-pass ℘ building block.
+    executor's single-pass ℘ building block. Returns [r] itself when
+    every row is taken.
     @raise Invalid_argument unless indices are strictly increasing and in
     range. *)
 

@@ -703,17 +703,22 @@ let try_flush c =
   in
   go ()
 
+(* [true] when the job reached the queue; a refusal is answered here. *)
 let dispatch t c job =
   match Admission.submit t.queue job with
-  | `Admitted -> c.in_flight <- true
+  | `Admitted ->
+      c.in_flight <- true;
+      true
   | `Busy ->
       Telemetry.count t.tel Ev.reject_busy 1;
       enqueue_response c ~keep:job.keep
-        (Http.response 429 (Protocol.error_body "admission queue is full"))
+        (Http.response 429 (Protocol.error_body "admission queue is full"));
+      false
   | `Closed ->
       Telemetry.count t.tel Ev.reject_shutdown 1;
       enqueue_response c ~keep:false
-        (Http.response 503 (Protocol.error_body "server is shutting down"))
+        (Http.response 503 (Protocol.error_body "server is shutting down"));
+      false
 
 let truthy = function Some ("1" | "true" | "yes") -> true | _ -> false
 
@@ -759,11 +764,16 @@ let handle_on_loop t c (req : Http.request) ~body_off ~body_len =
               enqueue_response c ~keep
                 (Http.response 404
                    (Protocol.error_body "unknown or expired resume token"))
-          | Some retained -> submit ~stream:true (Resume retained))
+          | Some retained ->
+              (* a refused resume puts its checkpoint back, with a fresh
+                 TTL, so the retry finds it *)
+              if not (submit ~stream:true (Resume retained)) then
+                Frontier.put t.frontiers ~now:started ~token retained)
       | None -> (
           let stream = truthy (List.assoc_opt "anytime" params) in
           if body_len > loop_parse_max then
-            submit ~stream (Raw (Bytes.sub_string c.inbuf body_off body_len))
+            ignore
+              (submit ~stream (Raw (Bytes.sub_string c.inbuf body_off body_len)))
           else
             (* read in place: [probe_sub] keeps no reference to the
                buffer, which is not touched until this returns *)
@@ -778,7 +788,7 @@ let handle_on_loop t c (req : Http.request) ~body_off ~body_len =
                 (* a hit needs no stream, even on the anytime route: it is
                    a plain content-length response (clients accept both) *)
                 enqueue_response c ~keep (hit_response t entry started)
-            | Miss a -> submit ~stream (Admitted a)))
+            | Miss a -> ignore (submit ~stream (Admitted a))))
   | _, _ ->
       Telemetry.count t.tel Ev.req_unknown 1;
       enqueue_response c ~keep

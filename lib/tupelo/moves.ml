@@ -284,7 +284,7 @@ let candidates config registry target (idb : Idb.t) =
           mem_sorted target.tvalues_set rel_id
           || Array.exists (fun a -> mem_sorted target.tvalues_set a) atts
         in
-        let already_demoted =
+        let already_demoted () =
           let rec go j =
             j < arity
             && (Array.exists (fun v -> Irel.mem_att r v) (Irel.dstrs r j)
@@ -292,7 +292,7 @@ let candidates config registry target (idb : Idb.t) =
           in
           go 0
         in
-        if metadata_wanted && not already_demoted then begin
+        if metadata_wanted && not (already_demoted ()) then begin
           let taken s =
             let id = Intern.string_id s in
             Array.exists (( = ) id) atts || mem_sorted target.tatts_set id
@@ -482,41 +482,62 @@ let successors ?(telemetry = Telemetry.disabled) config registry target state =
      successors keeps both instead of silently dropping one. Confirmed
      collisions are counted on [fingerprint.collision]. *)
   let seen : State.t Fp_tbl.t = Fp_tbl.create 32 in
-  let built = ref 0 in
+  let keep op s' =
+    let fp = State.fingerprint s' in
+    let twins = Fp_tbl.find_all seen fp in
+    if List.exists (fun s0 -> State.same_content s0 s') twins then None
+      (* true duplicate *)
+    else begin
+      if twins <> [] then Telemetry.count telemetry "fingerprint.collision" 1;
+      Fp_tbl.add seen fp s';
+      Some (op, s')
+    end
+  in
+  (* A candidate that changes nothing yields the parent itself, under the
+     same cell bound and dedup as a built child (a parent over the bound
+     prunes it). *)
+  let built = ref 0 and self = ref 0 in
+  let self_child op =
+    if State.total_cells state > config.max_state_cells then None
+    else begin
+      incr self;
+      keep op state
+    end
+  in
   let result =
     Telemetry.timed telemetry "moves.apply" @@ fun () ->
     List.filter_map
       (fun op ->
-        (* [candidates] admitted [op] on this [idb]: skip the re-check. *)
-        let idb', delta =
-          Fira.Eval.apply_interned_unchecked ~semantics:`Syntactic registry op
-            idb
-        in
-        (* The successor's size follows from the parent's count and the
-           delta — prune oversized states before building them. *)
-        if
-          State.total_cells state + Fira.Eval.idelta_cells delta
-          > config.max_state_cells
-        then None
-        else begin
-          let s' = State.of_isuccessor state delta idb' in
-          incr built;
-          let fp = State.fingerprint s' in
-          match Fp_tbl.find_opt seen fp with
-          | None ->
-              Fp_tbl.add seen fp s';
-              Some (op, s')
-          | Some _ ->
-              let twins = Fp_tbl.find_all seen fp in
-              if List.exists (fun s0 -> State.same_content s0 s') twins
-              then None (* true duplicate *)
-              else begin
-                Telemetry.count telemetry "fingerprint.collision" 1;
-                Fp_tbl.add seen fp s';
-                Some (op, s')
-              end
-        end)
+        match op with
+        | Fira.Op.Merge { rel; _ }
+          when Irel.mu_identity (Idb.find idb (Intern.string_id rel)) ->
+            (* certified: µ returns its input on every column *)
+            self_child op
+        | _ -> (
+            (* [candidates] admitted [op] on this [idb]: skip the
+               re-check. *)
+            let idb', delta =
+              Fira.Eval.apply_interned_unchecked ~semantics:`Syntactic
+                registry op idb
+            in
+            match delta with
+            | { Fira.Eval.iremoved = [ (n, r) ]; iadded = [ (n', r') ] }
+              when n = n' && r == r' ->
+                self_child op
+            | _ ->
+                (* The successor's size follows from the parent's count and
+                   the delta — prune oversized states before building
+                   them. *)
+                if
+                  State.total_cells state + Fira.Eval.idelta_cells delta
+                  > config.max_state_cells
+                then None
+                else begin
+                  incr built;
+                  keep op (State.of_isuccessor state delta idb')
+                end))
       ops
   in
   if !built > 0 then Telemetry.count telemetry "fingerprint.incremental" !built;
+  if !self > 0 then Telemetry.count telemetry "successors.self" !self;
   result

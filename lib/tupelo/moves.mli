@@ -103,10 +103,19 @@ val successors :
   State.t ->
   (Fira.Op.t * State.t) list
 (** {!candidates} applied with the search-time (syntactic λ) semantics
-    over the parent's interned database; each successor state is built
-    incrementally from its parent via {!State.of_isuccessor} (counted on
-    the [fingerprint.incremental] telemetry counter) and deduplicated by
-    fingerprint before any full-key work. A fingerprint hit alone never
+    over the parent's interned database; each successor state that
+    differs from its parent is built incrementally via
+    {!State.of_isuccessor} (counted on the [fingerprint.incremental]
+    telemetry counter) and deduplicated by fingerprint before any
+    full-key work. A candidate that changes nothing yields the parent
+    itself, physically, and builds nothing (counted on
+    [successors.self]): µ on a relation that {!Irel.mu_identity}
+    certifies is not applied, and a delta that replaces a relation by
+    itself physically (µ or ↑ that changes no cell, ℘ into one group
+    named like its relation) is recognized after the apply. The parent
+    passes the same [max_state_cells] check and the same dedup as a
+    built child, so the list is exactly the one that applying and
+    building every candidate gives. A fingerprint hit alone never
     discards a successor: it is confirmed by {!State.same_content}
     (canonical comparison over the interned form), and a confirmed
     collision — fingerprint-equal but content-distinct — keeps both states

@@ -1415,6 +1415,45 @@ let test_frontier_capacity_lru () =
   | Ok (s, _), _ -> Alcotest.failf "retained token: HTTP %d" s
   | Error m, _ -> Alcotest.failf "retained token: %s" m
 
+(* One worker and a one-slot queue, both held by slow searches: a
+   resume is refused with 429, and its checkpoint stays retained under
+   the same token, so the retry after the queue drains completes. *)
+let test_refused_resume_keeps_checkpoint () =
+  with_daemon ~workers:1 ~queue_capacity:1 ~timeout_ms:600 @@ fun t _agg ->
+  let port = Daemon.port t in
+  let conn = Client.connect ~host:"127.0.0.1" ~port in
+  Fun.protect ~finally:(fun () -> Client.close conn) @@ fun () ->
+  let resp, _ = anytime_once conn (starved_request ()) in
+  let token = Option.get resp.Protocol.resume_token in
+  let slow i =
+    let source, target = slow_pair i in
+    Protocol.request ~source ~target ~budget:100_000_000 ()
+  in
+  let spawn i =
+    Thread.create (fun () -> ignore (discover_once ~port (slow i))) ()
+  in
+  let t1 = spawn 1 in
+  Thread.delay 0.15;
+  let t2 = spawn 10 in
+  Thread.delay 0.15;
+  (match resume_once conn token with
+  | Ok (429, Error _), _ -> ()
+  | Ok (s, _), _ -> Alcotest.failf "busy resume: expected 429, got %d" s
+  | Error m, _ -> Alcotest.failf "busy resume: %s" m);
+  Thread.join t1;
+  Thread.join t2;
+  (match resume_once conn token with
+  | Ok (200, Ok _), _ -> ()
+  | Ok (s, _), _ -> Alcotest.failf "retried resume: HTTP %d" s
+  | Error m, _ -> Alcotest.failf "retried resume: %s" m);
+  let stats = anytime_stats ~port in
+  let frontier k = stats_counter stats [ "anytime"; "frontier"; k ] in
+  Alcotest.(check int) "429 counted" 1
+    (stats_counter stats [ "rejected"; "busy" ]);
+  Alcotest.(check int) "retention reconciles" (frontier "retained")
+    (frontier "size" + frontier "resumed" + frontier "evictions_ttl"
+   + frontier "evictions_lru")
+
 let test_anytime_rejects_bad_requests () =
   with_daemon @@ fun t _agg ->
   let port = Daemon.port t in
@@ -1728,4 +1767,6 @@ let suite =
       test_plain_and_anytime_alike;
     Alcotest.test_case "e2e: oversized anytime bad request is a 400" `Quick
       test_oversized_anytime_bad_request;
+    Alcotest.test_case "e2e: a refused resume keeps its checkpoint" `Quick
+      test_refused_resume_keeps_checkpoint;
   ]
