@@ -151,6 +151,8 @@ let apply_interned_unchecked ~semantics registry op idb =
     in
     (Idb.add idb name r', { iremoved; iadded = [ (name, r') ] })
   in
+  let find name = Idb.find idb (id name) in
+  let binary f left right out = replace out (f (find left) (find right)) in
   match op with
   | Op.Promote { rel; name_col; value_col } ->
       replace rel
@@ -215,28 +217,10 @@ let apply_interned_unchecked ~semantics registry op idb =
                   (List.map
                      (fun i -> Intern.value_of_id row.(i))
                      input_idxs))))
-  | Op.Union _ | Op.Diff _ | Op.Join _ | Op.Select _ ->
-      (* Core relational ops are off the search hot path (Moves never
-         proposes them); go through the boxed implementation. *)
-      let boxed name = Irel.to_relation (Idb.find idb (id name)) in
-      let r' =
-        match op with
-        | Op.Union { left; right; _ } ->
-            Relation.union (boxed left) (boxed right)
-        | Op.Diff { left; right; _ } -> Relation.diff (boxed left) (boxed right)
-        | Op.Join { left; right; _ } ->
-            Algebra.natural_join (boxed left) (boxed right)
-        | Op.Select { rel; pred } ->
-            Relation.select (boxed rel) (Algebra.eval_pred pred)
-        | _ -> assert false
-      in
-      let out =
-        match op with
-        | Op.Union { out; _ } | Op.Diff { out; _ } | Op.Join { out; _ } -> out
-        | Op.Select { rel; _ } -> rel
-        | _ -> assert false
-      in
-      replace out (Irel.of_relation r')
+  | Op.Union { left; right; out } -> binary Irel.union left right out
+  | Op.Diff { left; right; out } -> binary Irel.diff left right out
+  | Op.Join { left; right; out } -> binary Irel.join left right out
+  | Op.Select { rel; pred } -> replace rel (Irel.select (find rel) pred)
 
 let apply_interned_delta ~semantics registry op idb =
   (match iexplain_inapplicable registry op idb with

@@ -61,9 +61,10 @@ val apply_syntactic_delta :
     avoiding boxed databases entirely. Bit-identity contract: for any
     applicable operator, converting the interned result and delta to the
     boxed form yields exactly {!apply_with_delta}'s output (same canonical
-    keys, same fingerprints) — property-tested. The core relational
-    operators ∪ − ⋈ σ, which {!Tupelo.Moves} never proposes, fall back to
-    the boxed implementations at a conversion cost. *)
+    keys, same fingerprints) — property-tested. Every operator, the core
+    relational ∪ − ⋈ σ that {!Tupelo.Moves} never proposes included, runs
+    an {!Relational.Irel} kernel that bulk migration ([Migrate]) runs
+    too, so the search and the bulk executor share one semantics. *)
 
 type idelta = {
   iremoved : (int * Irel.t) list;

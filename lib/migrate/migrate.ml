@@ -6,12 +6,13 @@
    Cdb.to_idb. That one relaxation is what makes the operator plans
    embarrassingly parallel: per-row operators (ρ ↓ → λ π̄ σ) map over
    chunks independently, and only the genuinely global operators pay a
-   merge step:
+   merge step. Every operator that is not per-row runs the Irel kernel
+   the sequential Fira.Eval runs, over the chunk list:
 
-   - ↑ (promote): a global pass unions the usable new column names (and
-     detects promotion into an existing column) before every chunk is
-     rebuilt against the full combined schema — a chunk that never sees
-     name "x" still gains the all-null column "x".
+   - ↑ (promote): Irel.promote_chunks. A global pass unions the usable
+     new column names in first-seen order across chunks, then every
+     chunk is written against that combined schema, copy-on-write — a
+     chunk that never sees name "x" still gains the all-null column "x".
    - µ (merge): Irel.merge_chunks, the kernel the sequential Irel.merge
      runs too. Rows are grouped across chunks by the key cell's printed
      form (the boxed Relation.merge group key). A repeated key's rows
@@ -25,12 +26,14 @@
    - ℘ (partition): per-chunk partitions are regrouped by key value id;
      a key's chunk-groups simply become the chunks of the output
      relation.
-   - − (diff): the right side is materialized once as a sorted row
-     array; left chunks filter against it by binary search, in parallel.
-   - ∪ (union): chunk-list concatenation (right chunks permuted onto the
-     left column order when the orders differ).
-   - ⋈ (join, never emitted by discovery): coalesce and delegate to the
-     boxed implementation, like the search path does.
+   - − (diff): Irel.diff_chunks. The right side's projection is sorted
+     once, before the pool map; left chunks filter against it by binary
+     search, in parallel.
+   - ∪ (union): chunk-list concatenation, right chunks aligned to the
+     left column order (Irel.align); Cdb.to_idb's Irel.concat then does
+     what Irel.union does after its alignment.
+   - ⋈ (join, never emitted by discovery): coalesce and run Irel.join.
+   - σ (select): Irel.select_chunks compiles the predicate once.
 
    Ingest is columnar too: the CSV tokenizer's field slices go straight
    into the current chunk's id columns, through a cell → id memo that
@@ -159,16 +162,6 @@ end)
 
 let cexplain_inapplicable = Chunked_check.explain_inapplicable
 
-let mem_sorted sorted row =
-  let lo = ref 0 and hi = ref (Array.length sorted) in
-  let found = ref false in
-  while (not !found) && !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let c = Irel.compare_rows row sorted.(mid) in
-    if c = 0 then found := true else if c < 0 then hi := mid else lo := mid + 1
-  done;
-  !found
-
 let apply_op cfg registry pool op cdb =
   (match cexplain_inapplicable registry op cdb with
   | Some reason -> error "migrate: %s inapplicable: %s" (Op.to_string op) reason
@@ -178,112 +171,25 @@ let apply_op cfg registry pool op cdb =
   let pmap f xs = Pool.map_list pool f xs in
   let find name = List.assoc (id name) cdb in
   let replace name r' = Cdb.add cdb (id name) r' in
+  let map = { Irel.map = pmap } in
   let rechunk catts chunks =
     Cdb.crel catts (List.concat_map (Cdb.split_chunk ~chunk_rows) chunks)
   in
-  (* Per-chunk operator: map chunks in parallel, schema from the first
-     result chunk (chunk lists are never empty). *)
-  let mapped name f =
-    let r = find name in
-    let chunks = pmap f r.Cdb.cchunks in
+  (* A chunk-list kernel on one relation, schema from the first result
+     chunk (chunk lists are never empty). *)
+  let chunked name f =
+    let chunks = f (find name).Cdb.cchunks in
     replace name (rechunk (Irel.atts (List.hd chunks)) chunks)
   in
+  (* Per-chunk operator: map chunks in parallel. *)
+  let mapped name f = chunked name (pmap f) in
   match op with
   | Op.Promote { rel; name_col; value_col } ->
-      let r = find rel in
-      let catts = r.Cdb.catts in
-      let ni = att_index catts (id name_col)
-      and vi = att_index catts (id value_col) in
-      (* Pass 1 (parallel): per-chunk usable new names in first-seen order,
-         plus whether any tuple promotes into an existing column. *)
-      let scans =
-        pmap
-          (fun c ->
-            let nids = Irel.col_ids c ni in
-            let seen = Hashtbl.create 8 in
-            let order = ref [] in
-            let base_hit = ref false in
-            Array.iter
-              (fun vid ->
-                match Irel.usable_name vid with
-                | Some name ->
-                    if Array.mem name catts then base_hit := true
-                    else if not (Hashtbl.mem seen name) then begin
-                      Hashtbl.add seen name ();
-                      order := name :: !order
-                    end
-                | None -> ())
-              nids;
-            (List.rev !order, !base_hit))
-          r.Cdb.cchunks
-      in
-      let base_hit = List.exists snd scans in
-      let seen = Hashtbl.create 16 in
-      let new_names =
-        List.concat_map fst scans
-        |> List.filter (fun n ->
-               if Hashtbl.mem seen n then false
-               else begin
-                 Hashtbl.add seen n ();
-                 true
-               end)
-      in
-      if new_names = [] && not base_hit then cdb
-      else if not base_hit then begin
-        (* Pass 2, scatter plan (parallel): every chunk gains the same
-           combined new columns — a chunk never seeing name "x" still
-           gains the all-null column "x" — built by one scan per chunk
-           and appended without re-canonicalization (extend_cols). *)
-        let new_atts = Array.of_list new_names in
-        let n_new = Array.length new_atts in
-        let slot = Hashtbl.create 16 in
-        Array.iteri (fun j a -> Hashtbl.replace slot a j) new_atts;
-        let chunks =
-          pmap
-            (fun c ->
-              let n = Irel.cardinality c in
-              let nids = Irel.col_ids c ni and vids = Irel.col_ids c vi in
-              let cols =
-                Array.init n_new (fun _ -> Array.make n Intern.null_value_id)
-              in
-              for i = 0 to n - 1 do
-                match Irel.usable_name nids.(i) with
-                | Some name -> cols.(Hashtbl.find slot name).(i) <- vids.(i)
-                | None -> ()
-              done;
-              Irel.extend_cols c new_atts cols)
-            r.Cdb.cchunks
-        in
-        replace rel (Cdb.crel (Array.append catts new_atts) chunks)
-      end
-      else begin
-        (* Promotion into an existing column: full per-chunk rebuild
-           against the combined schema (rare — only when a tuple's name
-           cell spells an attribute the relation already has). *)
-        let catts' = Array.append catts (Array.of_list new_names) in
-        let slot = Hashtbl.create 16 in
-        Array.iteri (fun j a -> Hashtbl.replace slot a j) catts';
-        let base_arity = Array.length catts in
-        let arity' = Array.length catts' in
-        let chunks =
-          pmap
-            (fun c ->
-              let rows' =
-                List.map
-                  (fun row ->
-                    let cells = Array.make arity' Intern.null_value_id in
-                    Array.blit row 0 cells 0 base_arity;
-                    (match Irel.usable_name row.(ni) with
-                    | Some name -> cells.(Hashtbl.find slot name) <- row.(vi)
-                    | None -> ());
-                    cells)
-                  (Irel.to_rows c)
-              in
-              Irel.of_rows catts' rows')
-            r.Cdb.cchunks
-        in
-        replace rel (rechunk catts' chunks)
-      end
+      (* Irel.promote's kernel: every chunk gains the same fresh columns,
+         and an overwrite copies only the columns it writes. *)
+      let name_col = id name_col and value_col = id value_col in
+      chunked rel (fun chunks ->
+          Irel.promote_chunks map chunks ~name_col ~value_col)
   | Op.Demote { rel; att_att; rel_att } ->
       let rel_name = id rel and att_att = id att_att and rel_att = id rel_att in
       mapped rel (fun c -> Irel.demote c ~rel_name ~att_att ~rel_att)
@@ -303,12 +209,8 @@ let apply_op cfg registry pool op cdb =
       (* One µ kernel with the sequential path (Irel.merge): keys are
          grouped across chunks, a repeated key folds into its lub row,
          and only a conflicting group runs the greedy fixpoint. *)
-      let r = find rel in
-      let chunks =
-        Irel.merge_chunks { Irel.map = pmap } ~chunk_rows r.Cdb.cchunks (id col)
-      in
-      if chunks == r.Cdb.cchunks then cdb (* no key repeats: chunks shared *)
-      else replace rel (Cdb.crel r.Cdb.catts chunks)
+      let col = id col in
+      chunked rel (fun chunks -> Irel.merge_chunks map ~chunk_rows chunks col)
   | Op.Partition { rel; col } ->
       (* Each chunk's groups, regrouped by key in chunk order; a key's
          chunk-groups become the chunks of its output relation. Keys are
@@ -339,54 +241,22 @@ let apply_op cfg registry pool op cdb =
       let chunks = pmap (fun (a, b) -> Irel.product a b) pairs in
       replace out (rechunk catts' chunks)
   | Op.Union { left; right; out } ->
+      (* Irel.union's path: the right chunks aligned to the left's
+         attribute order; Cdb.to_idb's Irel.concat finishes it. *)
       let l = find left and rt = find right in
-      let rchunks =
-        if Array.for_all2 Int.equal l.Cdb.catts rt.Cdb.catts then rt.Cdb.cchunks
-        else begin
-          let perm = Array.map (att_index rt.Cdb.catts) l.Cdb.catts in
-          pmap
-            (fun c ->
-              Irel.of_rows l.Cdb.catts
-                (List.map
-                   (fun row -> Array.map (fun j -> row.(j)) perm)
-                   (Irel.to_rows c)))
-            rt.Cdb.cchunks
-        end
-      in
-      replace out (Cdb.crel l.Cdb.catts (l.Cdb.cchunks @ rchunks))
+      replace out
+        (Cdb.crel l.Cdb.catts
+           (l.Cdb.cchunks @ pmap (Irel.align l.Cdb.catts) rt.Cdb.cchunks))
   | Op.Diff { left; right; out } ->
-      let l = find left and rt = find right in
-      let same_order = Array.for_all2 Int.equal l.Cdb.catts rt.Cdb.catts in
-      let perm =
-        if same_order then [||] else Array.map (att_index rt.Cdb.catts) l.Cdb.catts
-      in
-      let project row =
-        if same_order then row else Array.map (fun j -> row.(j)) perm
-      in
-      let rrows =
-        List.concat_map
-          (fun c -> List.rev_map project (Irel.to_rows c))
-          rt.Cdb.cchunks
-      in
-      let sorted = Array.of_list (List.sort Irel.compare_rows rrows) in
-      let chunks =
-        pmap
-          (fun c ->
-            Irel.of_rows l.Cdb.catts
-              (List.filter (fun row -> not (mem_sorted sorted row)) (Irel.to_rows c)))
-          l.Cdb.cchunks
-      in
-      replace out (Cdb.crel l.Cdb.catts chunks)
+      let l = find left in
+      replace out
+        (Cdb.crel l.Cdb.catts
+           (Irel.diff_chunks map l.Cdb.cchunks (Cdb.coalesce (find right))))
   | Op.Join { left; right; out } ->
-      (* Off the discovery path; coalesce and delegate to the boxed
-         implementation, as the interned search evaluator does. *)
-      let l = Cdb.coalesce (find left) and rt = Cdb.coalesce (find right) in
-      let j = Algebra.natural_join (Irel.to_relation l) (Irel.to_relation rt) in
-      let ir = Irel.of_relation j in
-      replace out (rechunk (Irel.atts ir) [ ir ])
+      let j = Irel.join (Cdb.coalesce (find left)) (Cdb.coalesce (find right)) in
+      replace out (rechunk (Irel.atts j) [ j ])
   | Op.Select { rel; pred } ->
-      let p = Algebra.eval_pred pred in
-      mapped rel (fun c -> Irel.of_relation (Relation.select (Irel.to_relation c) p))
+      chunked rel (fun chunks -> Irel.select_chunks map chunks pred)
   | Op.Apply { rel; func; inputs; output } ->
       let f = Semfun.find_exn registry func in
       let r = find rel in

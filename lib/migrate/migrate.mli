@@ -11,21 +11,23 @@
 
     {2 Chunk-merge semantics}
 
-    Per-row operators (ρ/↓/→/λ/π̄/σ) apply to each chunk independently.
-    Operators whose result depends on the whole relation run a
-    partition-then-merge plan: ↑ takes a global new-column pass before
-    the per-chunk rebuild, µ groups rows across chunks by the key
-    value's printed form with {!Irel.merge_chunks} (the kernel of
-    {!Irel.merge}: a repeated key becomes its lub row unless a column
-    conflicts, and only then runs the greedy fixpoint), ℘ groups them
-    by the key value, − probes a
-    sorted materialization of the right side, ∪ concatenates chunk
-    lists, and ⋈ (never emitted by discovery)
-    coalesces and delegates to the boxed implementation. Chunks stay
-    canonical internally but may duplicate rows {e across} chunks;
-    {!Cdb.to_idb} performs the final global canonicalization. The result
-    is equal, id for id, to sequential {!Fira.Eval} — property-tested
-    over random (DB, program) pairs. See DESIGN.md, "Bulk migration". *)
+    Per-row operators (ρ/↓/→/λ/π̄) apply to each chunk independently.
+    The others run the {!Irel} kernel of the sequential operator over the
+    chunk list: σ compiles its predicate once ({!Irel.select_chunks}); ↑
+    gives every chunk the same fresh columns, in first-seen order across
+    chunks, and writes each chunk copy-on-write ({!Irel.promote_chunks});
+    µ groups rows across chunks by the key value's printed form
+    ({!Irel.merge_chunks}: a repeated key becomes its lub row unless a
+    column conflicts, and only then runs the greedy fixpoint); ℘ groups
+    them by the key value; − sorts the right side's projection once and
+    probes it from every left chunk ({!Irel.diff_chunks}); ∪ appends the
+    right chunks aligned to the left's column order ({!Irel.align}); and
+    ⋈ coalesces both sides and runs {!Irel.join}. Chunks stay canonical
+    internally but may duplicate rows {e across} chunks; {!Cdb.to_idb}
+    performs the final global canonicalization. The result is equal, id
+    for id, to sequential {!Fira.Eval} — property-tested over random
+    (DB, program) pairs of Table 1 operators, and over random relation
+    pairs for ∪ − ⋈ σ. See DESIGN.md, "Bulk migration". *)
 
 open Relational
 
@@ -66,8 +68,8 @@ module Cdb : sig
   val to_idb : t -> Idb.t
   (** Concatenate and canonicalize each relation — the final global
       sort/dedup of a migration ({!Irel.concat}). Single-chunk relations
-      are passed through untouched, and chunks already in order are
-      joined column by column. *)
+      are passed through untouched, chunks already in order are joined
+      column by column, and others are canonicalized as columns. *)
 
   val to_database : t -> Database.t
 end

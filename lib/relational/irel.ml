@@ -318,6 +318,10 @@ let fingerprint ~name t =
 (* ------------------------------------------------------------------ *)
 (* ℒ operators, each mirroring its Relation counterpart                *)
 
+type map = { map : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
+
+let sequential = { map = List.map }
+
 (* Relation.usable_column_name: None for Null and String "" (only a
    String can render as the empty string); otherwise the printed form. *)
 let usable_name id =
@@ -326,19 +330,9 @@ let usable_name id =
     let s = Intern.value_str_id id in
     if s = Intern.empty_string_id then None else Some s
 
-let promote r ~name_col ~value_col =
-  let ni = index_of r name_col and vi = index_of r value_col in
+(* ↑ on one chunk, given [extra]: the fresh columns every chunk gains. *)
+let promote_into extra r ni vi =
   let nids = r.cols.(ni).ids and vids = r.cols.(vi).ids in
-  (* Dynamically created column names, in first-seen (row) order. *)
-  let rev_new = ref [] in
-  Array.iter
-    (fun id ->
-      match usable_name id with
-      | Some name when not (mem_att r name || List.mem name !rev_new) ->
-          rev_new := name :: !rev_new
-      | _ -> ())
-    nids;
-  let extra = Array.of_list (List.rev !rev_new) in
   let base_arity = Array.length r.atts and n = r.nrows in
   let atts' = Array.append r.atts extra in
   let ids' =
@@ -380,6 +374,32 @@ let promote r ~name_col ~value_col =
            else fresh_col atts'.(j) ids)
          ids')
       n
+
+let promote_chunks map chunks ~name_col ~value_col =
+  match chunks with
+  | [] -> []
+  | c0 :: _ ->
+      let ni = index_of c0 name_col and vi = index_of c0 value_col in
+      (* Dynamically created column names: each chunk's in first-seen
+         (row) order, then joined in chunk order, first occurrence kept. *)
+      let add names name =
+        if mem_att c0 name || List.mem name names then names else name :: names
+      in
+      let chunk_names c =
+        Array.fold_left
+          (fun names id ->
+            match usable_name id with Some name -> add names name | None -> names)
+          [] c.cols.(ni).ids
+        |> List.rev
+      in
+      let extra =
+        List.fold_left (List.fold_left add) [] (map.map chunk_names chunks)
+        |> List.rev |> Array.of_list
+      in
+      map.map (fun c -> promote_into extra c ni vi) chunks
+
+let promote r ~name_col ~value_col =
+  List.hd (promote_chunks sequential [ r ] ~name_col ~value_col)
 
 let product a b =
   (match Array.find_opt (fun att -> mem_att b att) a.atts with
@@ -539,18 +559,18 @@ let concat atts chunks =
     | _ -> true
   in
   match List.filter (fun c -> c.nrows > 0) chunks with
-  | [] -> of_rows atts []
   | [ c ] -> c
-  | cs when increasing cs ->
+  | cs ->
+      let cols =
+        Array.mapi
+          (fun j _ -> Array.concat (List.map (fun c -> c.cols.(j).ids) cs))
+          atts
+      and n = List.fold_left (fun n c -> n + c.nrows) 0 cs in
       (* Canonical chunks whose boundaries increase are canonical end to
-         end: the columns concatenate without building a row. *)
-      fresh atts
-        (Array.mapi
-           (fun j att ->
-             fresh_col att (Array.concat (List.map (fun c -> c.cols.(j).ids) cs)))
-           atts)
-        (List.fold_left (fun n c -> n + c.nrows) 0 cs)
-  | cs -> of_rows atts (List.concat_map to_rows cs)
+         end: the concatenated columns are used as they are. Otherwise
+         they are sorted and deduplicated as columns: no row is built. *)
+      if increasing cs then fresh atts (Array.map2 fresh_col atts cols) n
+      else of_cols atts cols n
 
 let slice r ~off ~len =
   if off < 0 || len < 0 || off + len > r.nrows then
@@ -563,36 +583,31 @@ let slice r ~off ~len =
   in
   fresh r.atts cols len
 
-let filter_rows r mask kept =
-  (* Filtered rows of a canonical relation stay canonical: no re-sort. *)
-  let cols =
-    Array.map
-      (fun c ->
-        let ids = Array.make kept 0 in
-        let k = ref 0 in
-        Array.iteri
-          (fun i id ->
-            if mask.(i) then begin
-              ids.(!k) <- id;
-              incr k
-            end)
-          c.ids;
-        fresh_col c.att ids)
-      r.cols
-  in
-  fresh r.atts cols kept
+(* The rows at strictly increasing indices [idxs]: a gather of canonical
+   rows in order is canonical; one of every row is the input. *)
+let take_idx r idxs =
+  let n = Array.length idxs in
+  if n = r.nrows then r
+  else
+    let cols =
+      Array.map
+        (fun c -> fresh_col c.att (Array.map (fun i -> c.ids.(i)) idxs))
+        r.cols
+    in
+    fresh r.atts cols n
 
 let filter_idx r pred =
-  let mask = Array.init r.nrows pred in
-  let kept = Array.fold_left (fun n b -> if b then n + 1 else n) 0 mask in
-  if kept = r.nrows then r else filter_rows r mask kept
+  let idxs = Array.make r.nrows 0 and k = ref 0 in
+  for i = 0 to r.nrows - 1 do
+    if pred i then begin
+      idxs.(!k) <- i;
+      incr k
+    end
+  done;
+  take_idx r (Array.sub idxs 0 !k)
 
 (* ------------------------------------------------------------------ *)
 (* µ: one kernel for a relation and for a relation held as chunks      *)
-
-type map = { map : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
-
-let sequential = { map = List.map }
 
 (* What the kernel learns about a relation held as chunks. A key held by
    two or more rows is a repeated key; repeated keys are numbered in the
@@ -799,47 +814,6 @@ let merge_chunks map ~chunk_rows chunks att =
               (List.init ((n + chunk_rows - 1) / chunk_rows) (fun k ->
                    k * chunk_rows)))
 
-let take_idx r idxs =
-  let n = Array.length idxs in
-  for k = 0 to n - 1 do
-    let i = idxs.(k) in
-    if i < 0 || i >= r.nrows || (k > 0 && idxs.(k - 1) >= i) then
-      invalid_arg "Irel.take_idx: indices must be strictly increasing and in range"
-  done;
-  (* A strictly-increasing gather of canonical rows is canonical; one of
-     every row is the input. *)
-  if n = r.nrows then r
-  else
-    let cols =
-      Array.map
-        (fun c -> fresh_col c.att (Array.map (fun i -> c.ids.(i)) idxs))
-        r.cols
-    in
-    fresh r.atts cols n
-
-let extend_cols r atts cols =
-  let n_new = Array.length atts in
-  if Array.length cols <> n_new then
-    invalid_arg "Irel.extend_cols: atts/cols length mismatch";
-  Array.iter
-    (fun a ->
-      if mem_att r a then
-        invalid_arg
-          (Printf.sprintf "Irel.extend_cols: attribute %S already present"
-             (Intern.string_of_id a)))
-    atts;
-  Array.iter
-    (fun ids ->
-      if Array.length ids <> r.nrows then
-        invalid_arg "Irel.extend_cols: bad column length")
-    cols;
-  (* Same argument as [extend]: appending columns to pairwise-distinct
-     sorted rows keeps them strictly increasing — no re-canonicalization. *)
-  fresh
-    (Array.append r.atts atts)
-    (Array.append r.cols (Array.map2 fresh_col atts cols))
-    r.nrows
-
 (* Each distinct non-null id of column [att] with the indices of its
    rows, ascending, in first-seen order: one bucket per value. *)
 let buckets r att =
@@ -996,3 +970,109 @@ let count_contained big small =
     done;
     !n
   end
+
+(* ------------------------------------------------------------------ *)
+(* ∪ − ⋈ σ                                                             *)
+
+let align atts r =
+  if atts = r.atts then r
+  else
+    of_cols atts (Array.map (fun att -> r.cols.(index_of r att).ids) atts) r.nrows
+
+let union a b = concat a.atts [ a; align a.atts b ]
+
+let diff_chunks map chunks b =
+  match chunks with
+  | [] -> []
+  | c0 :: _ ->
+      (* Built (and cached on [b]) before the map, so no two domains write
+         [b]'s projection cache at once. *)
+      let proj = sorted_proj b c0.atts in
+      map.map
+        (fun c -> filter_idx c (fun i -> not (proj_mem proj (row_of c i))))
+        chunks
+
+let diff a b = List.hd (diff_chunks sequential [ a ] b)
+
+let join a b =
+  match List.filter (mem_att b) (Array.to_list a.atts) with
+  | [] -> product a b
+  | shared ->
+      let only =
+        Array.of_list
+          (List.filter (fun att -> not (mem_att a att)) (Array.to_list b.atts))
+      in
+      let key t =
+        let idx = Array.of_list (List.map (index_of t) shared) in
+        fun i -> Array.map (fun j -> t.cols.(j).ids.(i)) idx
+      in
+      (* Equal ids are Value.equal values, nulls included. *)
+      let bkey = key b and akey = key a in
+      let rows = Hashtbl.create b.nrows in
+      for i' = 0 to b.nrows - 1 do
+        Hashtbl.add rows (bkey i') i'
+      done;
+      let pairs =
+        Array.of_list
+          (List.concat
+             (List.init a.nrows (fun i ->
+                  List.map (fun i' -> (i, i')) (Hashtbl.find_all rows (akey i)))))
+      in
+      let gather t pick j = Array.map (fun p -> t.cols.(j).ids.(pick p)) pairs in
+      of_cols
+        (Array.append a.atts only)
+        (Array.append
+           (Array.init (Array.length a.atts) (gather a fst))
+           (Array.map (fun att -> gather b snd (index_of b att)) only))
+        (Array.length pairs)
+
+(* Algebra.eval_pred compiled against [atts], evaluated on a row's ids.
+   An absent attribute reads as null: both make a comparison false. *)
+let compile_pred atts pred =
+  let operand = function
+    | Algebra.Const v ->
+        let id = Intern.value_id v in
+        fun _ _ -> id
+    | Algebra.Att a -> (
+        match Array.find_index (( = ) (Intern.string_id a)) atts with
+        | Some j -> fun r i -> r.cols.(j).ids.(i)
+        | None -> fun _ _ -> null_id)
+  in
+  let rec compile = function
+    | Algebra.True -> fun _ _ -> true
+    | Algebra.False -> fun _ _ -> false
+    | Algebra.Not p ->
+        let p = compile p in
+        fun r i -> not (p r i)
+    | Algebra.And (p, q) ->
+        let p = compile p and q = compile q in
+        fun r i -> p r i && q r i
+    | Algebra.Or (p, q) ->
+        let p = compile p and q = compile q in
+        fun r i -> p r i || q r i
+    | Algebra.Cmp (cmp, x, y) ->
+        let x = operand x and y = operand y in
+        fun r i ->
+          let a = x r i and b = y r i in
+          a <> null_id && b <> null_id
+          &&
+          let c = Intern.compare_values a b in
+          (match cmp with
+          | Eq -> c = 0 | Neq -> c <> 0 | Lt -> c < 0
+          | Leq -> c <= 0 | Gt -> c > 0 | Geq -> c >= 0)
+    | Algebra.In (x, vs) ->
+        let x = operand x and ids = List.map Intern.value_id vs in
+        fun r i ->
+          let a = x r i in
+          a <> null_id && List.mem a ids
+  in
+  compile pred
+
+let select_chunks map chunks pred =
+  match chunks with
+  | [] -> []
+  | c0 :: _ ->
+      let holds = compile_pred c0.atts pred in
+      map.map (fun c -> filter_idx c (holds c)) chunks
+
+let select r pred = List.hd (select_chunks sequential [ r ] pred)

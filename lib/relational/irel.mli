@@ -107,6 +107,15 @@ val fingerprint : name:int -> t -> Fingerprint.t
 
 (** {1 ℒ operators} (mirrors of the {!Relation} functions) *)
 
+type map = { map : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
+(** An order-preserving list map, e.g. a pool's [map_list]. The [_chunks]
+    kernels below run their per-chunk passes through it; each is the
+    kernel of its one-relation operator, applied to one chunk with
+    {!sequential}. *)
+
+val sequential : map
+(** [List.map]. *)
+
 val promote : t -> name_col:int -> value_col:int -> t
 (** ↑ as {!Relation.promote}. Only the columns that get written are new:
     every base column the promote does not overwrite is shared with its
@@ -114,6 +123,16 @@ val promote : t -> name_col:int -> value_col:int -> t
     rows out of order (or makes two equal) they are canonicalized as
     {!of_cols} does. Returns its input physically when it changes no
     cell. *)
+
+val promote_chunks :
+  map -> t list -> name_col:int -> value_col:int -> t list
+(** ↑ over one relation held as canonical chunks with the same
+    attributes: {!promote}'s kernel, run on each chunk against the same
+    fresh columns — the usable names no attribute spells, in first-seen
+    order across the chunks (chunk order, then row order), so a chunk
+    that never names ["x"] still gains the all-null column ["x"]. Each
+    chunk is written as {!promote} writes a relation, copy-on-write, and
+    a chunk that changes no cell is returned physically. *)
 
 val demote : t -> rel_name:int -> att_att:int -> rel_att:int -> t
 val dereference : t -> target:int -> pointer_col:int -> t
@@ -127,12 +146,6 @@ val merge : t -> int -> t
     conflicting group runs the fixpoint. Returns its input physically
     when µ changes nothing — at once when {!mu_identity} holds,
     otherwise after grouping the rows. *)
-
-type map = { map : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
-(** An order-preserving list map, e.g. a pool's [map_list]. *)
-
-val sequential : map
-(** [List.map]. *)
 
 val merge_chunks : map -> chunk_rows:int -> t list -> int -> t list
 (** [merge_chunks map ~chunk_rows chunks att]: µ on [att] over one
@@ -161,38 +174,64 @@ val extend : t -> int -> (int array -> int) -> t
 (** [extend r att f]: append column [att], cell computed from each row's
     value ids — the λ-apply building block. *)
 
-val extend_cols : t -> int array -> int array array -> t
-(** [extend_cols r atts cols]: append pre-built columns (one value-id
-    array per new attribute, in row order). Appending columns to
-    pairwise-distinct sorted rows keeps them strictly increasing, so the
-    old columns are shared and nothing is re-sorted — the bulk executor's
-    scatter plan for ↑.
-    @raise Invalid_argument on a present attribute or a length mismatch. *)
-
 val filter_idx : t -> (int -> bool) -> t
 (** [filter_idx r pred]: keep rows whose index satisfies [pred]. A
-    subsequence of canonical rows is canonical: no re-sort, one scan per
-    column. Returns [r] itself when every row is kept. *)
-
-val take_idx : t -> int array -> t
-(** [take_idx r idxs]: gather the rows at the given strictly-increasing
-    indices — a canonical subsequence, one gather per column. The bulk
-    executor's single-pass ℘ building block. Returns [r] itself when
-    every row is taken.
-    @raise Invalid_argument unless indices are strictly increasing and in
-    range. *)
+    subsequence of canonical rows is canonical: no re-sort, one gather
+    per column. Returns [r] itself when every row is kept. *)
 
 val concat : int array -> t list -> t
 (** [concat atts chunks]: the canonical union of canonical chunks with
     attributes [atts]. When each non-empty chunk's last row precedes the
     next one's first, the columns are concatenated as they are;
-    otherwise the rows are re-sorted, as {!of_rows} does. *)
+    otherwise the concatenated columns are canonicalized by {!of_cols}.
+    No row is built either way. *)
 
 val slice : t -> off:int -> len:int -> t
 (** [slice r ~off ~len]: rows [off, off+len) as a relation — a contiguous
     range of canonical rows is itself canonical, so this is a columnar
     [Array.sub] per column. The chunking primitive of bulk migration.
     @raise Invalid_argument on a bad range. *)
+
+(** {1 ∪ − ⋈ σ}
+
+    Mirrors of {!Relation.union}, {!Relation.diff},
+    {!Algebra.natural_join} and {!Relation.select} over
+    {!Algebra.eval_pred}: canonical results with the boxed result's
+    attribute order, equal id for id (property-tested against the boxed
+    evaluator, and chunked through [Migrate]). *)
+
+val align : int array -> t -> t
+(** [align atts r]: [r] with its columns in the order [atts], a
+    permutation of [r]'s attributes, re-canonicalized by {!of_cols}.
+    Returns [r] when the order is already [atts]. *)
+
+val union : t -> t -> t
+(** [union a b]: [b] aligned to [a]'s attribute order, then {!concat}
+    with [a]. *)
+
+val diff : t -> t -> t
+(** [diff a b]: the rows of [a] not in [b]. Returns [a] physically when
+    none is removed. *)
+
+val diff_chunks : map -> t list -> t -> t list
+(** {!diff} of each chunk against [b]: [b]'s projection onto the chunks'
+    attribute order is sorted once, before [map] runs (and cached on [b],
+    as {!contains} caches it), then each chunk's rows are probed by
+    binary search. *)
+
+val join : t -> t -> t
+(** Natural join: [a]'s attributes, then [b]'s that [a] lacks. Rows pair
+    when their shared attributes hold equal ids (null matches null, as
+    {!Value.equal} does); with nothing shared it is {!product}. *)
+
+val select : t -> Algebra.pred -> t
+(** The rows the predicate holds on, as {!Algebra.eval_pred} decides it:
+    a comparison or membership with an absent attribute or a null
+    operand is false. Returns [r] physically when every row is kept. *)
+
+val select_chunks : map -> t list -> Algebra.pred -> t list
+(** {!select} on each chunk; the predicate is compiled once against the
+    chunks' attribute array and evaluated on value ids. *)
 
 (** {1 Comparison and containment} *)
 

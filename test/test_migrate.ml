@@ -13,11 +13,12 @@ let canonical_idb db = Idb.of_database db
 
    500 generated scenarios (random source database + random applicable ℒ
    program), each executed chunked with deliberately tiny chunks — so
-   every chunk-merge plan (promote's global schema pass, merge's
-   cross-chunk regroup, partition's class reassembly, diff's sorted
-   probe) actually crosses chunk boundaries — and with both a sequential
-   and a 2-domain pool. The result must equal the boxed sequential
-   evaluator's, id for id. *)
+   every chunk-merge plan the scenarios draw (promote's global schema
+   pass, merge's cross-chunk regroup, partition's class reassembly)
+   actually crosses chunk boundaries — and with both a sequential and a
+   2-domain pool. The result must equal the boxed sequential evaluator's,
+   id for id. Scenarios never draw ∪ − ⋈ σ: the property "∪ − ⋈ σ:
+   boxed = interned = chunked" below covers those. *)
 let test_equivalence () =
   let chunk_sizes = [| 1; 2; 3; 7 |] in
   for seed = 1 to 500 do
@@ -656,6 +657,192 @@ let test_numeric_keys_agree () =
   Alcotest.(check string) "apply" want
     (emitted (Irel.of_relation (Database.find applied "R")))
 
+(* --- ∪ − ⋈ σ: boxed = interned = chunked, id for id ---
+
+   Random relation pairs over a small vocabulary where 1, 1.0 and "1"
+   are three values that compare apart. The right operand of ∪ and −
+   holds the left one's attributes in another order (and some of its
+   rows); ⋈'s right side shares none, some or all of the left's
+   attributes; σ's predicate mixes Cmp, In, And, Or and Not over present
+   and absent attributes and null constants. One program runs them all
+   through the boxed evaluator, the interned one, and the chunked
+   executor at 1, 2, 3 and one-chunk rows per chunk, on 1 and 2 domains;
+   every relation must agree in attribute order and ids. *)
+
+let setop_vocab = Value.[ Null; Int 1; Float 1.0; String "1"; String "a"; Int 2 ]
+
+let setop_case_gen =
+  QCheck2.Gen.(
+    let cell = oneofl setop_vocab in
+    let rows arity = list_size (int_bound 6) (flatten_l (List.init arity (fun _ -> cell))) in
+    let* k = int_range 1 3 in
+    let* latts = map (List.filteri (fun i _ -> i < k)) (shuffle_l [ "a"; "b"; "c" ]) in
+    let* lrows = rows k in
+    (* R: L's attributes permuted, some of L's rows plus fresh ones. *)
+    let* ratts = shuffle_l latts in
+    let perm = List.map (fun a -> Option.get (List.find_index (( = ) a) latts)) ratts in
+    let* shared_rows = map (List.filteri (fun i _ -> i mod 2 = 0)) (shuffle_l lrows) in
+    let* fresh_rows = rows k in
+    let rrows =
+      List.map (fun row -> List.map (List.nth row) perm) shared_rows @ fresh_rows
+    in
+    (* J: a subset of L's attributes plus d and/or e, in any order. *)
+    let* keep = flatten_l (List.map (fun _ -> bool) latts) in
+    let shared = List.filteri (fun i _ -> List.nth keep i) latts in
+    let* extra = oneofl [ []; [ "d" ]; [ "d"; "e" ] ] in
+    let* jatts = shuffle_l (shared @ extra) in
+    let jatts = if jatts = [] then [ "d" ] else jatts in
+    let* jrows = rows (List.length jatts) in
+    let* pred =
+      let operand =
+        frequency
+          [ (3, map (fun a -> Algebra.Att a) (oneofl ("z" :: latts)));
+            (2, map (fun v -> Algebra.Const v) cell) ]
+      in
+      let leaf =
+        frequency
+          [ (4, map3 (fun c x y -> Algebra.Cmp (c, x, y))
+                  (oneofl Algebra.[ Eq; Neq; Lt; Leq; Gt; Geq ]) operand operand);
+            (2, map2 (fun x vs -> Algebra.In (x, vs)) operand (list_size (int_bound 3) cell));
+            (1, oneofl Algebra.[ True; False ]) ]
+      in
+      let rec pred d =
+        if d = 0 then leaf
+        else
+          frequency
+            [ (2, leaf);
+              (1, map (fun p -> Algebra.Not p) (pred (d - 1)));
+              (1, map2 (fun p q -> Algebra.And (p, q)) (pred (d - 1)) (pred (d - 1)));
+              (1, map2 (fun p q -> Algebra.Or (p, q)) (pred (d - 1)) (pred (d - 1))) ]
+      in
+      pred 3
+    in
+    return ((latts, lrows), (ratts, rrows), (jatts, jrows), pred))
+
+let setop_db ((latts, lrows), (ratts, rrows), (jatts, jrows), _) =
+  let rel atts rows =
+    Relation.of_rows (Schema.of_list atts) (List.map Row.of_list rows)
+  in
+  Database.of_list
+    [ ("L", rel latts lrows); ("R", rel ratts rrows); ("J", rel jatts jrows) ]
+
+let setop_program (_, _, _, pred) =
+  Fira.Expr.of_ops
+    Fira.Op.
+      [
+        Union { left = "L"; right = "R"; out = "U" };
+        Union { left = "R"; right = "L"; out = "V" };
+        Diff { left = "L"; right = "R"; out = "D" };
+        Diff { left = "R"; right = "L"; out = "E" };
+        Join { left = "L"; right = "J"; out = "N" };
+        Join { left = "J"; right = "L"; out = "O" };
+        Select { rel = "N"; pred };
+        Select { rel = "L"; pred };
+      ]
+
+let same_idb a b =
+  Idb.names a = Idb.names b
+  && List.for_all
+       (fun n -> Mu_oracle.same_ids (Idb.find a n) (Idb.find b n))
+       (Idb.names a)
+
+let setops_agree case =
+  let db = setop_db case and program = setop_program case in
+  let registry = Fira.Semfun.empty_registry in
+  let boxed = Idb.of_database (Fira.Expr.eval registry program db) in
+  let interned =
+    List.fold_left
+      (fun idb op ->
+        fst (Fira.Eval.apply_interned_delta ~semantics:`Full registry op idb))
+      (Idb.of_database db) (Fira.Expr.ops program)
+  in
+  let agree what idb =
+    same_idb boxed idb
+    || QCheck2.Test.fail_reportf "%s differs from boxed on %s" what
+         (Database.canonical_key db)
+  in
+  agree "interned" interned
+  && List.for_all
+       (fun (chunk_rows, jobs) ->
+         let got, _ =
+           Migrate.run_idb (Migrate.config ~chunk_rows ~jobs ()) program
+             (Idb.of_database db)
+         in
+         agree (Printf.sprintf "chunked (chunk_rows %d, jobs %d)" chunk_rows jobs) got)
+       (List.concat_map
+          (fun c -> [ (c, 1); (c, 2) ])
+          [ 1; 2; 3; 1_000_000 ])
+
+let prop_setops =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:200
+       ~print:(fun case ->
+         Printf.sprintf "%s\nprogram:\n%s"
+           (Database.canonical_key (setop_db case))
+           (Fira.Expr.to_string (setop_program case)))
+       ~name:"∪ − ⋈ σ: boxed = interned = chunked, id for id" setop_case_gen
+       setops_agree)
+
+(* --- chunked ↑ pinned cases ---
+
+   R's rows sorted by k fall into chunks of 1 and of 2 rows: the first
+   two rows' name cells name b (an overwrite), the next two mint y, then
+   x (so y comes first), the last two name nothing. Every chunk gains y
+   and x, and the migration equals Fira.Eval.apply id for id. When b
+   leads the rows, the overwrite reorders a chunk. *)
+let test_promote_chunks_pinned () =
+  let open Value in
+  let op = Fira.Op.Promote { rel = "R"; name_col = "n"; value_col = "v" } in
+  let case what header rows want_atts =
+    let r =
+      Relation.of_rows (Schema.of_list header) (List.map Row.of_list rows)
+    in
+    let db = Database.of_list [ ("R", r) ] in
+    let want =
+      Idb.find
+        (Idb.of_database (Fira.Eval.apply Fira.Semfun.empty_registry op db))
+        (Intern.string_id "R")
+    in
+    Alcotest.(check (list string)) (what ^ ": boxed schema") want_atts
+      (List.map Intern.string_of_id (Array.to_list (Irel.atts want)));
+    List.iter
+      (fun (chunk_rows, jobs) ->
+        let what = Printf.sprintf "%s (chunk_rows %d, jobs %d)" what chunk_rows jobs in
+        let cfg = Migrate.config ~chunk_rows ~jobs () in
+        let out, _ =
+          Migrate.run cfg (Fira.Expr.of_ops [ op ])
+            (Migrate.Cdb.of_database ~chunk_rows db)
+        in
+        List.iter
+          (fun c ->
+            Alcotest.(check bool) (what ^ ": chunk schema") true
+              (Irel.atts c = Irel.atts want))
+          (Migrate.Cdb.chunks out (Intern.string_id "R"));
+        Alcotest.(check bool) (what ^ ": = Fira.Eval.apply") true
+          (Mu_oracle.same_ids
+             (Idb.find (Migrate.Cdb.to_idb out) (Intern.string_id "R"))
+             want))
+      [ (1, 1); (2, 1); (2, 2) ]
+  in
+  case "overwrite, fresh names, neither" [ "k"; "n"; "v"; "b" ]
+    [
+      [ Int 1; String "b"; String "p"; String "q" ];
+      [ Int 2; String "b"; String "q"; String "q" ];
+      [ Int 3; String "y"; Int 5; Null ];
+      [ Int 4; String "x"; Int 6; String "r" ];
+      [ Int 5; Null; Int 7; String "s" ];
+      [ Int 6; String ""; Int 8; String "t" ];
+    ]
+    [ "k"; "n"; "v"; "b"; "y"; "x" ];
+  case "overwrite reorders a chunk" [ "b"; "k"; "n"; "v" ]
+    [
+      [ String "p"; Int 1; String "b"; String "z" ];
+      [ String "q"; Int 2; String "b"; String "a" ];
+      [ String "r"; Int 3; String "x"; Int 5 ];
+      [ String "s"; Int 4; Null; Int 6 ];
+    ]
+    [ "b"; "k"; "n"; "v"; "x" ]
+
 let suite =
   [
     Alcotest.test_case "chunked = sequential (500 seeds)" `Slow
@@ -680,4 +867,6 @@ let suite =
       test_numeric_keys_agree;
     Alcotest.test_case "℘ duplicate group name (Int 1 / String \"1\")" `Quick
       test_partition_duplicate_group_name;
+    prop_setops;
+    Alcotest.test_case "chunked ↑ pinned cases" `Quick test_promote_chunks_pinned;
   ]
