@@ -26,9 +26,9 @@
    - ℘ (partition): per-chunk partitions are regrouped by key value id;
      a key's chunk-groups simply become the chunks of the output
      relation.
-   - − (diff): Irel.diff_chunks. The right side's projection is sorted
-     once, before the pool map; left chunks filter against it by binary
-     search, in parallel.
+   - − (diff): Irel.diff_chunks. The right side's rows are indexed on
+     their ids once, before the pool map; left chunks filter against the
+     index, in parallel.
    - ∪ (union): chunk-list concatenation, right chunks aligned to the
      left column order (Irel.align); Cdb.to_idb's Irel.concat then does
      what Irel.union does after its alignment.

@@ -19,15 +19,16 @@
     µ groups rows across chunks by the key value's printed form
     ({!Irel.merge_chunks}: a repeated key becomes its lub row unless a
     column conflicts, and only then runs the greedy fixpoint); ℘ groups
-    them by the key value; − sorts the right side's projection once and
-    probes it from every left chunk ({!Irel.diff_chunks}); ∪ appends the
-    right chunks aligned to the left's column order ({!Irel.align}); and
-    ⋈ coalesces both sides and runs {!Irel.join}. Chunks stay canonical
-    internally but may duplicate rows {e across} chunks; {!Cdb.to_idb}
-    performs the final global canonicalization. The result is equal, id
-    for id, to sequential {!Fira.Eval} — property-tested over random
-    (DB, program) pairs of Table 1 operators, and over random relation
-    pairs for ∪ − ⋈ σ. See DESIGN.md, "Bulk migration". *)
+    them by the key value; − indexes the right side's rows once and
+    probes the index from every left chunk ({!Irel.diff_chunks}); ∪
+    appends the right chunks aligned to the left's column order
+    ({!Irel.align}); and ⋈ coalesces both sides and runs {!Irel.join}.
+    Chunks stay canonical internally but may duplicate rows {e across}
+    chunks; {!Cdb.to_idb} performs the final global canonicalization.
+    The result is equal, id for id, to sequential {!Fira.Eval} —
+    property-tested over random (DB, program) pairs of Table 1
+    operators, and over random relation pairs for ∪ − ⋈ σ. See
+    DESIGN.md, "Bulk migration". *)
 
 open Relational
 

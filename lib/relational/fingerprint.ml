@@ -92,13 +92,16 @@ let fnv1a64 s = fnv_string fnv_offset s
    exactly [canonical_key]'s equivalence, which is value identity — ints
    and bools hash their bits (bijective with their printed form), floats
    their lossless printed form, and strings their bytes. *)
-let value_fnv h v =
+let[@inline] value_fnv_printed h v printed =
   match (v : Value.t) with
   | Null -> fnv_char h 'N'
   | Bool b -> fnv_char (fnv_char h 'B') (if b then '\x01' else '\x00')
   | Int n -> fnv_int (fnv_char h 'I') n
-  | Float _ -> fnv_string (fnv_char h 'F') (Value.to_string v)
-  | String s -> fnv_string (fnv_char h 'S') s
+  | Float _ -> fnv_sub (fnv_char h 'F') printed 0 (String.length printed)
+  | String s -> fnv_sub (fnv_char h 'S') s 0 (String.length s)
+
+let value_fnv h v =
+  value_fnv_printed h v (match v with Float _ -> Value.to_string v | _ -> "")
 
 (* [value_fnv h (Value.of_string_guess (String.sub s off len))]: the
    same tags and bytes, without the value. *)
@@ -278,14 +281,35 @@ let of_csv ?max_bytes ~rel doc =
    bit-identical with the boxed path, so the primitives are shared rather
    than duplicated. *)
 module Hashing = struct
-  let mix64 = mix64
-  let lane_salt = lane_salt
-  let schema_salt = schema_salt
   let fnv1a64 = fnv1a64
   let fnv_char = fnv_char
-  let fnv_string = fnv_string
   let value_fnv = value_fnv
   let lanes = lanes
-  let elem = elem
-  let make a b = { a; b }
+
+  (* Both lanes of the cell [v] under the attribute prefix [prefix],
+     written at [b.[off]] and [b.[off + 8]]: [cell_elem] with the prefix
+     and the float's printed form given. The FNV fold and both mixes are
+     inlined here, so no int64 is boxed per cell. *)
+  let cell_lanes prefix v printed b off =
+    let ea = mix64 (value_fnv_printed prefix v printed) in
+    set64 b off ea;
+    set64 b (off + 8) (mix64 (Int64.logxor ea lane_salt))
+
+  (* [of_schema] plus [of_row] of every row, from the rows' cell lanes:
+     [cols.(j)] holds column [j]'s lanes as [cell_lanes] writes them, row
+     [i] at byte [16 i]. The row loop keeps its sums unboxed. *)
+  let of_lanes ~rel:(ra, rb) ~schema:(sa, sb) cols nrows =
+    let acc_a = ref (mix64 (Int64.add (Int64.add sa ra) schema_salt))
+    and acc_b = ref (mix64 (Int64.add (Int64.add sb rb) schema_salt)) in
+    for i = 0 to nrows - 1 do
+      let sa = ref 0L and sb = ref 0L in
+      for j = 0 to Array.length cols - 1 do
+        let l = Array.unsafe_get cols j in
+        sa := Int64.add !sa (get64 l (16 * i));
+        sb := Int64.add !sb (get64 l ((16 * i) + 8))
+      done;
+      acc_a := Int64.add !acc_a (mix64 (Int64.add !sa ra));
+      acc_b := Int64.add !acc_b (mix64 (Int64.add !sb rb))
+    done;
+    { a = !acc_a; b = !acc_b }
 end

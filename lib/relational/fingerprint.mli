@@ -100,15 +100,8 @@ val cell_fnv : int64 -> string -> int -> int -> int64
     which caches per-column element lanes and must reproduce the boxed
     fingerprints bit for bit. Not a stable public interface. *)
 module Hashing : sig
-  val mix64 : int64 -> int64
-  val lane_salt : int64
-  val schema_salt : int64
-
   val fnv1a64 : string -> int64
   val fnv_char : int64 -> char -> int64
-
-  val fnv_string : int64 -> string -> int64
-  (** Continue an FNV fold with the bytes of a string. *)
 
   val value_fnv : int64 -> Value.t -> int64
   (** Continue an FNV fold with the type-tagged encoding of one value. *)
@@ -117,9 +110,18 @@ module Hashing : sig
   (** Both element lanes from one FNV state: [(mix64 h, mix64 (mix64 h lxor
       lane_salt))]. *)
 
-  val elem : string -> int64 * int64
-  (** [lanes (fnv1a64 s)]. *)
+  val cell_lanes : int64 -> Value.t -> string -> Bytes.t -> int -> unit
+  (** [cell_lanes prefix v printed b off] writes both element lanes of the
+      cell [v] at bytes [off] and [off + 8] of [b]: [lanes (value_fnv
+      prefix v)], [prefix] being the FNV state of the attribute name and
+      ['\x1f'], and [printed] [Value.to_string v] (read only for a float).
+      Allocates nothing. *)
 
-  val make : int64 -> int64 -> t
-  (** Assemble a fingerprint from raw lanes. *)
+  val of_lanes :
+    rel:int64 * int64 -> schema:int64 * int64 -> Bytes.t array -> int -> t
+  (** [of_lanes ~rel ~schema cols n]: the relation term ({!of_schema} plus
+      {!of_row} of every row) from [rel], the relation name's element
+      lanes, [schema], the sums of its attributes' element lanes, and
+      [cols], one {!cell_lanes} column per attribute holding [n] rows at
+      16 bytes each. No allocation per row. *)
 end

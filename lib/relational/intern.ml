@@ -204,24 +204,17 @@ let value_is_null id = (val_entry id).null
 let empty_string_id = string_id ""
 let null_value_id = value_id Value.Null
 
-(* First fingerprint cell lane of value [v_id] under attribute [att_id]:
-   [mix64 (value_fnv (prefix att) (value v))]. Nothing is memoized here:
-   the caller caches lanes per column ([Irel.col_lanes]), where sibling
-   states share them, and a per-attribute table indexed by value id would
-   grow with the pool for the life of the process. A float hashes its
-   entry's cached printed form instead of printing the value again. *)
-let cell_lane_a att_id v_id =
-  let prefix = (str_entry att_id).prefix in
+(* Both fingerprint lanes of the cell [v_id] under attribute [att_id],
+   written at [b.[off]] and [b.[off + 8]]. Nothing is memoized here: the
+   caller caches lanes per column ([Irel.col_lanes]), where sibling states
+   share them, and a per-attribute table indexed by value id would grow
+   with the pool for the life of the process. The attribute prefix is
+   read from its entry, and a float hashes its entry's cached printed
+   form instead of printing the value again. *)
+let cell_lanes att_id v_id b off =
   let e = val_entry v_id in
-  let h =
-    match e.value with
-    | Value.Float _ ->
-        Fingerprint.Hashing.fnv_string
-          (Fingerprint.Hashing.fnv_char prefix 'F')
-          (string_of_id e.vstr)
-    | v -> Fingerprint.Hashing.value_fnv prefix v
-  in
-  Fingerprint.Hashing.mix64 h
+  Fingerprint.Hashing.cell_lanes (str_entry att_id).prefix e.value
+    (string_of_id e.vstr) b off
 
 let compare_values a b =
   if a = b then 0 else Value.compare (value_of_id a) (value_of_id b)

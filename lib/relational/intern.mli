@@ -26,18 +26,19 @@ val string_id : string -> int
 val string_of_id : int -> string
 
 val string_lanes : int -> int64 * int64
-(** Cached {!Fingerprint.Hashing.elem} of the string. *)
+(** Cached element lanes of the string:
+    [Fingerprint.Hashing.lanes (Fingerprint.Hashing.fnv1a64 s)]. *)
 
 val string_value_id : int -> int
 (** Id of [Value.String s] for string id [s]; cached on the string entry. *)
 
-val cell_lane_a : int -> int -> int64
-(** [cell_lane_a att v] is the first fingerprint cell lane
-    [mix64 (value_fnv prefix (value_of_id v))], [prefix] the FNV state of
-    the attribute name and ['\x1f'], cached on its entry. Not memoized:
-    {!Irel} caches lanes per column, where sibling states share them. A
-    float hashes the entry's cached printed form, so no value is printed
-    again. *)
+val cell_lanes : int -> int -> Bytes.t -> int -> unit
+(** [cell_lanes att v b off] writes both fingerprint element lanes of the
+    cell [v] under attribute [att] at bytes [off] and [off + 8] of [b]:
+    {!Fingerprint.Hashing.cell_lanes} with the attribute's prefix (the FNV
+    state of its name and ['\x1f']) and the value's printed form, both
+    cached on their entries. Allocates nothing and memoizes nothing:
+    {!Irel} caches lanes per column, where sibling states share them. *)
 
 val empty_string_id : int
 

@@ -32,6 +32,14 @@ type col = {
   mutable dcount : int;  (* |column_distinct| (nulls included); -1 unknown *)
 }
 
+(* An open-addressing index of a relation's rows, keyed by an attribute
+   order: [key] are the relation's columns in [order], and [slots], a
+   power of two at most half full, holds row numbers (-1 empty), placed
+   by a hash of the row's ids in key order and probed linearly. Equal
+   ids are equal values, so a probe compares ids as ints: no Value
+   order, no sort, no allocation. *)
+type row_index = { order : int array; key : int array array; slots : int array }
+
 type t = {
   atts : int array;  (* attribute name ids, = col order *)
   cols : col array;
@@ -40,8 +48,7 @@ type t = {
   mutable vstrs : int array option;
       (* distinct non-null value strings across all columns, sorted by id *)
   mutable nulls : int;  (* has null cells: -1 unknown / 0 / 1 *)
-  mutable proj : (int array * int array array) option;
-      (* containment cache: projection onto the given atts, rows sorted *)
+  mutable index : row_index option;  (* membership cache, see [row_index] *)
   mutable mu_id : int;  (* µ is the identity on every column: -1 unknown / 0 / 1 *)
 }
 
@@ -50,7 +57,7 @@ let fresh_col att ids = { att; ids; lanes = None; hist = None; dcount = -1 }
 
 (* A relation with every relation-level cache empty. *)
 let fresh atts cols nrows =
-  { atts; cols; nrows; fp = None; vstrs = None; nulls = -1; proj = None;
+  { atts; cols; nrows; fp = None; vstrs = None; nulls = -1; index = None;
     mu_id = -1 }
 
 let make atts rows =
@@ -259,6 +266,100 @@ let has_nulls t =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Row index: membership and distinctness on ids                       *)
+
+(* Top-level and closure-free, so that a probe allocates nothing. *)
+let rec hash_ids cols i j h =
+  if j >= Array.length cols then h
+  else
+    hash_ids cols i (j + 1)
+      ((h * 0x9E3779B97F4A7C1) + Array.unsafe_get (Array.unsafe_get cols j) i)
+
+let slot_of slots cols i =
+  (hash_ids cols i 0 0 * 0x9E3779B97F4A7C1) lsr 17
+  land (Array.length slots - 1)
+
+(* Row [k] of [key] and row [i] of [cols] hold the same ids from column [j]. *)
+let rec same_ids key k cols i j =
+  j >= Array.length key
+  || Array.unsafe_get (Array.unsafe_get key j) k
+     = Array.unsafe_get (Array.unsafe_get cols j) i
+     && same_ids key k cols i (j + 1)
+
+(* The slot of [slots] (row numbers of [key]) holding a row with row
+   [i] of [cols]'s ids, or the empty slot that ends its probe. *)
+let rec probe slots key cols i s =
+  let k = Array.unsafe_get slots s in
+  if k < 0 || same_ids key k cols i 0 then s
+  else probe slots key cols i ((s + 1) land (Array.length slots - 1))
+
+(* Slots for [n] rows, at most half full. *)
+let empty_slots n =
+  let cap = ref 2 in
+  while !cap < 2 * n do
+    cap := 2 * !cap
+  done;
+  Array.make !cap (-1)
+
+(* Places rows [k..n-1] of [key] in [slots]; [false] as soon as one holds
+   the same ids as a row placed before it. *)
+let rec place_rows slots key k n =
+  k >= n
+  ||
+  let s = probe slots key key k (slot_of slots key k) in
+  Array.unsafe_get slots s < 0
+  && begin
+       Array.unsafe_set slots s k;
+       place_rows slots key (k + 1) n
+     end
+
+(* [r]'s row index keyed by [order], a permutation of (or, for the goal
+   test, a subset of) [r]'s attributes in the order the probing side holds
+   them. Cached on [r] for its last order: a goal target is indexed once
+   per search. Canonical rows are distinct, so every row is placed. *)
+let row_index r order =
+  match r.index with
+  | Some ix
+    when ix.order == order
+         || Array.length ix.order = Array.length order
+            && Array.for_all2 Int.equal ix.order order ->
+      ix
+  | _ ->
+      let key = Array.map (fun att -> r.cols.(index_of r att).ids) order in
+      let slots = empty_slots r.nrows in
+      ignore (place_rows slots key 0 r.nrows);
+      let ix = { order; key; slots } in
+      r.index <- Some ix;
+      ix
+
+(* The indexed row holding row [i] of [cols]'s ids ([cols] in
+   [ix.order]), or -1. *)
+let find ix cols i =
+  let s = probe ix.slots ix.key cols i (slot_of ix.slots cols i) in
+  Array.unsafe_get ix.slots s
+
+(* The number of [small]'s rows that some row of [big] holds, projected
+   onto [small]'s attributes (all of them [big]'s): [small] is indexed,
+   [big]'s rows are streamed once and each hit is marked, until every
+   row of [small] is. *)
+let matched big small =
+  let ix = row_index small small.atts in
+  let cols =
+    Array.map (fun att -> big.cols.(index_of big att).ids) small.atts
+  in
+  let seen = Bytes.make small.nrows '\000' in
+  let n = ref 0 and i = ref 0 in
+  while !n < small.nrows && !i < big.nrows do
+    let k = find ix cols !i in
+    if k >= 0 && Bytes.unsafe_get seen k = '\000' then begin
+      Bytes.unsafe_set seen k '\001';
+      incr n
+    end;
+    incr i
+  done;
+  !n
+
+(* ------------------------------------------------------------------ *)
 (* Fingerprint (bit-identical with Fingerprint.of_relation)            *)
 
 let col_lanes t j =
@@ -269,12 +370,7 @@ let col_lanes t j =
       let n = Array.length c.ids in
       let l = Bytes.create (16 * n) in
       for i = 0 to n - 1 do
-        (* The second lane is one mix away from the first. *)
-        let ea = Intern.cell_lane_a c.att (Array.unsafe_get c.ids i) in
-        Bytes.set_int64_ne l (16 * i) ea;
-        Bytes.set_int64_ne l ((16 * i) + 8)
-          (Fingerprint.Hashing.mix64
-             (Int64.logxor ea Fingerprint.Hashing.lane_salt))
+        Intern.cell_lanes c.att (Array.unsafe_get c.ids i) l (16 * i)
       done;
       c.lanes <- Some l;
       l
@@ -283,35 +379,18 @@ let fingerprint ~name t =
   match t.fp with
   | Some (n, fp) when n = name -> fp
   | _ ->
-      let ra, rb = Intern.string_lanes name in
-      let mix = Fingerprint.Hashing.mix64 in
-      let salt = Fingerprint.Hashing.schema_salt in
       let sa = ref 0L and sb = ref 0L in
-      Array.iter
-        (fun att ->
-          let aa, ab = Intern.string_lanes att in
-          sa := Int64.add !sa aa;
-          sb := Int64.add !sb ab)
-        t.atts;
-      (* Accumulate the two lane sums as raw int64s — one [make] at the
-         end instead of a record per row. Addition order is irrelevant to
-         the result (lane sums are commutative), so this is bit-identical
-         with the boxed [Fingerprint.of_relation]. *)
-      let acc_a = ref (mix (Int64.add (Int64.add !sa ra) salt))
-      and acc_b = ref (mix (Int64.add (Int64.add !sb rb) salt)) in
-      let arity = Array.length t.cols in
-      let lanes = Array.init arity (fun j -> col_lanes t j) in
-      for i = 0 to t.nrows - 1 do
-        let sa = ref 0L and sb = ref 0L in
-        for j = 0 to arity - 1 do
-          let l = Array.unsafe_get lanes j in
-          sa := Int64.add !sa (Bytes.get_int64_ne l (16 * i));
-          sb := Int64.add !sb (Bytes.get_int64_ne l ((16 * i) + 8))
-        done;
-        acc_a := Int64.add !acc_a (mix (Int64.add !sa ra));
-        acc_b := Int64.add !acc_b (mix (Int64.add !sb rb))
+      for j = 0 to Array.length t.atts - 1 do
+        let aa, ab = Intern.string_lanes t.atts.(j) in
+        sa := Int64.add !sa aa;
+        sb := Int64.add !sb ab
       done;
-      let fp = Fingerprint.Hashing.make !acc_a !acc_b in
+      let fp =
+        Fingerprint.Hashing.of_lanes ~rel:(Intern.string_lanes name)
+          ~schema:(!sa, !sb)
+          (Array.init (Array.length t.cols) (col_lanes t))
+          t.nrows
+      in
       t.fp <- Some (name, fp);
       fp
 
@@ -514,38 +593,29 @@ let merge_group ~changed rows =
   go rows
 
 (* The µ-identity certificate. Two rows µ merges are compatible: they
-   agree (under Value.compare) wherever both are non-null, so in
-   particular on every column without nulls. If no two rows agree on all
-   the null-free columns, no pair is ever compatible, no group merges, and
-   µ on any column returns its input. With no null-free column at all the
-   projection is injective only on 0 or 1 rows. *)
+   hold the same ids wherever both are non-null, so in particular on every
+   column without nulls. If no two rows agree on all the null-free
+   columns, no pair is ever compatible, no group merges, and µ on any
+   column returns its input. With no null-free column at all the
+   projection is injective only on 0 or 1 rows. Distinctness needs
+   equality only: the null-free columns' rows are placed in a row index,
+   which fails on the first repeat. *)
 let mu_identity t =
   if t.mu_id >= 0 then t.mu_id = 1
   else begin
-    let keys =
-      List.filter
-        (fun c -> not (Array.mem null_id c.ids))
-        (Array.to_list t.cols)
+    let rec has_null ids i =
+      i >= 0 && (ids.(i) = null_id || has_null ids (i - 1))
     in
-    let cmp i1 i2 =
-      let rec go = function
-        | [] -> 0
-        | c :: rest ->
-            let d = Intern.compare_values c.ids.(i1) c.ids.(i2) in
-            if d <> 0 then d else go rest
-      in
-      go keys
+    let keys =
+      Array.of_seq
+        (Seq.filter_map
+           (fun c -> if has_null c.ids (t.nrows - 1) then None else Some c.ids)
+           (Array.to_seq t.cols))
     in
     let injective =
       t.nrows <= 1
-      || keys <> []
-         &&
-         let idx = Array.init t.nrows Fun.id in
-         Array.stable_sort cmp idx;
-         let rec distinct k =
-           k >= t.nrows || (cmp idx.(k - 1) idx.(k) <> 0 && distinct (k + 1))
-         in
-         distinct 1
+      || Array.length keys > 0
+         && place_rows (empty_slots t.nrows) keys 0 t.nrows
     in
     t.mu_id <- (if injective then 1 else 0);
     injective
@@ -881,14 +951,6 @@ let rename_att r ~old_name ~new_name =
 (* ------------------------------------------------------------------ *)
 (* Comparison, containment                                             *)
 
-let sorted_atts t =
-  List.sort Intern.compare_strings (Array.to_list t.atts)
-
-let project_rows t atts_order =
-  let idx = Array.of_list (List.map (index_of t) atts_order) in
-  List.init t.nrows (fun i ->
-      Array.map (fun j -> t.cols.(j).ids.(i)) idx)
-
 (* Same attribute array and the same value id in every cell: the two are
    one relation. Columns shared
    physically ([rename_rel]-style sharing, the [project_away]/[rename_att]
@@ -906,70 +968,31 @@ let same_cells a b =
        (fun ca cb -> ca.ids == cb.ids || cells ca.ids cb.ids (a.nrows - 1))
        a.cols b.cols
 
-(* Relation.equal: schemas equal as attribute sets, and rows equal (id
-   for id) once both sides are projected onto the sorted attribute order.
-   Used by the fingerprint-collision fallback in successor dedup, where
-   nearly every call confirms a true duplicate in the same column layout:
-   that is settled in place, anything else by the sorted projections. *)
+(* Relation.equal: schemas equal as attribute sets, and the same rows
+   once both are projected onto one attribute order. Used by the
+   fingerprint-collision fallback in successor dedup, where nearly every
+   call confirms a true duplicate in the same column layout: that is
+   settled in place. Otherwise canonical rows are distinct, so with equal
+   row counts [a] holds [b]'s rows exactly when the two are equal; [b] is
+   indexed, which under the Exact goal mode is the target. *)
 let equal a b =
   a == b || same_cells a b
   || a.nrows = b.nrows
-     &&
-     let sa = sorted_atts a and sb = sorted_atts b in
-     List.equal Int.equal sa sb
-     &&
-     let norm t = List.sort compare_rows (project_rows t sa) in
-     List.equal (fun x y -> compare_rows x y = 0) (norm a) (norm b)
-
+     && Array.length a.atts = Array.length b.atts
+     && Array.for_all (mem_att a) b.atts
+     && matched a b = b.nrows
 
 (* Relation.contains: small's schema is a subset of big's, and every small
-   row occurs among big's rows projected onto small's attribute order. The
-   sorted projection is cached on [big]: target relations are fixed per
-   run and unchanged state relations are shared across states, so the goal
-   check amortizes to a few binary searches. *)
-let sorted_proj big small_atts =
-  match big.proj with
-  | Some (key, rows) when key = small_atts -> rows
-  | _ ->
-      let rows =
-        Array.of_list
-          (List.sort compare_rows
-             (project_rows big (Array.to_list small_atts)))
-      in
-      big.proj <- Some (Array.copy small_atts, rows);
-      rows
-
-let proj_mem proj row =
-  let lo = ref 0 and hi = ref (Array.length proj) in
-  let found = ref false in
-  while (not !found) && !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let c = compare_rows row proj.(mid) in
-    if c = 0 then found := true
-    else if c < 0 then hi := mid
-    else lo := mid + 1
-  done;
-  !found
-
+   row occurs among big's rows projected onto small's attribute order.
+   The index is cached on [small]: the goal target is fixed per run, so
+   each goal test streams the state relation's rows once. *)
 let contains big small =
-  Array.for_all (fun att -> mem_att big att) small.atts
-  &&
-  let proj = sorted_proj big small.atts in
-  let rec all i =
-    i >= small.nrows || (proj_mem proj (row_of small i) && all (i + 1))
-  in
-  all 0
+  Array.for_all (mem_att big) small.atts
+  && small.nrows <= big.nrows
+  && matched big small = small.nrows
 
 let count_contained big small =
-  if not (Array.for_all (fun att -> mem_att big att) small.atts) then 0
-  else begin
-    let proj = sorted_proj big small.atts in
-    let n = ref 0 in
-    for i = 0 to small.nrows - 1 do
-      if proj_mem proj (row_of small i) then incr n
-    done;
-    !n
-  end
+  if Array.for_all (mem_att big) small.atts then matched big small else 0
 
 (* ------------------------------------------------------------------ *)
 (* ∪ − ⋈ σ                                                             *)
@@ -986,10 +1009,12 @@ let diff_chunks map chunks b =
   | [] -> []
   | c0 :: _ ->
       (* Built (and cached on [b]) before the map, so no two domains write
-         [b]'s projection cache at once. *)
-      let proj = sorted_proj b c0.atts in
+         [b]'s index cache at once. *)
+      let ix = row_index b c0.atts in
       map.map
-        (fun c -> filter_idx c (fun i -> not (proj_mem proj (row_of c i))))
+        (fun c ->
+          let cols = Array.map (fun col -> col.ids) c.cols in
+          filter_idx c (fun i -> find ix cols i < 0))
         chunks
 
 let diff a b = List.hd (diff_chunks sequential [ a ] b)

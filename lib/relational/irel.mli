@@ -88,12 +88,15 @@ val has_nulls : t -> bool
 
 val mu_identity : t -> bool
 (** The µ-identity certificate: [true] only if {!merge} on every column
-    returns its input. Rows that µ merges agree, under {!Value.compare},
-    on every column without nulls; so when the projection onto the
-    null-free columns is injective, no two rows can merge. [false] makes
-    no claim (µ may still be the identity). A relation of 0 or 1 rows is
+    returns its input. Rows that µ merges hold the same ids on every
+    column without nulls; so when the projection onto the null-free
+    columns is injective, no two rows can merge. [false] makes no claim
+    (µ may still be the identity). A relation of 0 or 1 rows is
     certified; one with no null-free column and 2 or more rows is not.
-    Cached; {!rename_att} carries it over. *)
+    Works on ids alone: nulls are found by int equality, and the
+    null-free projection is checked for a repeat in a row index, with
+    no sort and no {!Value} order. Cached; {!rename_att} carries it
+    over. *)
 
 val usable_name : int -> int option
 (** [Relation.usable_column_name] on a value id: the printed form's string
@@ -214,10 +217,10 @@ val diff : t -> t -> t
     none is removed. *)
 
 val diff_chunks : map -> t list -> t -> t list
-(** {!diff} of each chunk against [b]: [b]'s projection onto the chunks'
-    attribute order is sorted once, before [map] runs (and cached on [b],
-    as {!contains} caches it), then each chunk's rows are probed by
-    binary search. *)
+(** {!diff} of each chunk against [b]: [b]'s rows are indexed once, in
+    the chunks' attribute order, before [map] runs (a hash index on
+    value ids, cached on [b] for that order), then each chunk row is
+    looked up by its ids; a row found in [b] is dropped. *)
 
 val join : t -> t -> t
 (** Natural join: [a]'s attributes, then [b]'s that [a] lacks. Rows pair
@@ -240,16 +243,24 @@ val equal : t -> t -> bool
     once projected onto the sorted attribute order; equivalently, equal
     {!Database.canonical_key}s. Two relations with the same attribute
     array are first compared column by column in place; the same value
-    id in every cell is [true]. *)
+    id in every cell is [true]. Otherwise, with equal row counts, [b] is
+    indexed as {!contains} indexes its small side and every row of [a]
+    must hit it. *)
 
 val contains : t -> t -> bool
-(** {!Relation.contains}; the sorted projection of the big side is cached
-    on it, keyed by the small side's attribute array. *)
+(** {!Relation.contains}: [small]'s attributes are a subset of [big]'s,
+    and every row of [small] occurs among [big]'s rows projected onto
+    them. [small] is indexed on its value ids, in its own attribute
+    order, and the index is cached on it: in a search, [small] is the
+    goal target, indexed once. Then [big]'s rows are streamed once,
+    each looked up by the ids of its projected cells, and the target
+    rows hit are marked, until all are. Nothing is allocated per row and
+    nothing is cached on [big]. *)
 
 val count_contained : t -> t -> int
 (** Number of [small] rows found in [big]'s projection onto [small]'s
     attributes — the per-relation goal-coverage measure of anytime
     discovery. 0 when [small]'s attributes are not a subset of [big]'s.
     When the schemas do line up, the count reaches [cardinality small]
-    exactly when [contains big small]. Shares {!contains}'s projection
-    cache. *)
+    exactly when [contains big small]. The same kernel as {!contains}:
+    [small] indexed and cached, [big] streamed once. *)

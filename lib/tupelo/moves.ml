@@ -475,36 +475,18 @@ let successors ?(telemetry = Telemetry.disabled) config registry target state =
     Telemetry.timed telemetry "moves.propose" (fun () ->
         candidates config registry target idb)
   in
-  (* Dedup on the 16-byte fingerprint — but never discard on the
-     fingerprint alone: a fingerprint hit is confirmed by a canonical
-     content comparison over the interned form, so an (astronomically
-     unlikely, but once latent) collision between genuinely distinct
-     successors keeps both instead of silently dropping one. Confirmed
-     collisions are counted on [fingerprint.collision]. *)
-  let seen : State.t Fp_tbl.t = Fp_tbl.create 32 in
-  let keep op s' =
-    let fp = State.fingerprint s' in
-    let twins = Fp_tbl.find_all seen fp in
-    if List.exists (fun s0 -> State.same_content s0 s') twins then None
-      (* true duplicate *)
-    else begin
-      if twins <> [] then Telemetry.count telemetry "fingerprint.collision" 1;
-      Fp_tbl.add seen fp s';
-      Some (op, s')
-    end
-  in
-  (* A candidate that changes nothing yields the parent itself, under the
-     same cell bound and dedup as a built child (a parent over the bound
-     prunes it). *)
+  (* A candidate that changes nothing yields the parent itself ([None]),
+     under the same cell bound and dedup as a built child (a parent over
+     the bound prunes it). A built child is its delta ([Some]). *)
   let built = ref 0 and self = ref 0 in
   let self_child op =
     if State.total_cells state > config.max_state_cells then None
     else begin
       incr self;
-      keep op state
+      Some (op, None)
     end
   in
-  let result =
+  let applied =
     Telemetry.timed telemetry "moves.apply" @@ fun () ->
     List.filter_map
       (fun op ->
@@ -534,9 +516,42 @@ let successors ?(telemetry = Telemetry.disabled) config registry target state =
                 then None
                 else begin
                   incr built;
-                  keep op (State.of_isuccessor state delta idb')
+                  Some (op, Some (delta, idb'))
                 end))
       ops
+  in
+  (* A built child's fingerprint is the parent's, updated by the delta's
+     relation terms. *)
+  let children =
+    Telemetry.timed telemetry "state.fingerprint" @@ fun () ->
+    List.map
+      (function
+        | op, None -> (op, state)
+        | op, Some (delta, idb') -> (op, State.of_isuccessor state delta idb'))
+      applied
+  in
+  (* Dedup on the 16-byte fingerprint — but never discard on the
+     fingerprint alone: a fingerprint hit is confirmed by a canonical
+     content comparison over the interned form, so an (astronomically
+     unlikely, but once latent) collision between genuinely distinct
+     successors keeps both instead of silently dropping one. Confirmed
+     collisions are counted on [fingerprint.collision]. *)
+  let seen : State.t Fp_tbl.t = Fp_tbl.create 32 in
+  let result =
+    Telemetry.timed telemetry "moves.dedup" @@ fun () ->
+    List.filter
+      (fun (_, s') ->
+        let fp = State.fingerprint s' in
+        let twins = Fp_tbl.find_all seen fp in
+        (* a twin with the same content is a true duplicate *)
+        (not (List.exists (fun s0 -> State.same_content s0 s') twins))
+        && begin
+             if twins <> [] then
+               Telemetry.count telemetry "fingerprint.collision" 1;
+             Fp_tbl.add seen fp s';
+             true
+           end)
+      children
   in
   if !built > 0 then Telemetry.count telemetry "fingerprint.incremental" !built;
   if !self > 0 then Telemetry.count telemetry "successors.self" !self;

@@ -785,6 +785,56 @@ let test_finished_run_leaves_nothing_young () =
   promoted "ida/cosine" (D.config ~algorithm:D.Ida ()) 61;
   promoted "rbfs/h1" (D.config ~heuristic:Heuristics.Heuristic.h1 ()) 2_963
 
+(* --- per-state kernels allocate nothing per row ---
+
+   Once the target's row index exists, a Superset goal test streams the
+   state relation's rows and allocates a constant number of minor words
+   whatever their number; so does a fingerprint recomputed (under another
+   relation name) over a relation whose column lanes are cached. Each goal
+   test gets a relation it has never seen, as a fresh successor would. *)
+
+let minor_words_per_call calls f =
+  let w0 = Gc.minor_words () in
+  for i = 0 to calls - 1 do
+    ignore (Sys.opaque_identity (f i))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int calls
+
+let test_per_state_kernels_allocation () =
+  let rel = Intern.string_id "alloc/R" and other = Intern.string_id "alloc/S" in
+  let atts = [| Intern.string_id "alloc/a"; Intern.string_id "alloc/b" |] in
+  let rows n =
+    List.init n (fun i ->
+        [| Intern.value_id (Value.Int i); Intern.value_id (Value.String (string_of_int (i mod 7))) |])
+  in
+  let target = Idb.add Idb.empty rel (Irel.of_rows atts (rows 4)) in
+  let calls = 20 in
+  let costs n =
+    let states =
+      Array.init calls (fun _ -> Idb.add Idb.empty rel (Irel.of_rows atts (rows n)))
+    in
+    assert (Tupelo.Goal.reached_interned Tupelo.Goal.Superset ~target states.(0));
+    let goal =
+      minor_words_per_call calls (fun i ->
+          Tupelo.Goal.reached_interned Tupelo.Goal.Superset ~target states.(i))
+    in
+    let r = Irel.of_rows atts (rows n) in
+    ignore (Irel.fingerprint ~name:other r);
+    let fp =
+      minor_words_per_call calls (fun i ->
+          Irel.fingerprint ~name:(if i land 1 = 0 then rel else other) r)
+    in
+    (goal, fp)
+  in
+  let goal_small, fp_small = costs 8 and goal_big, fp_big = costs 4096 in
+  let check what small big =
+    if big > small +. 1. || big > 256. then
+      Alcotest.failf "%s: %.1f minor words per call at 8 rows, %.1f at 4096"
+        what small big
+  in
+  check "Goal.reached_interned Superset" goal_small goal_big;
+  check "Irel.fingerprint on cached lanes" fp_small fp_big
+
 let suite =
   [
     Alcotest.test_case "goal modes" `Quick test_goal_modes;
@@ -830,4 +880,6 @@ let suite =
       test_fresh_pairs_heap_bounded;
     Alcotest.test_case "discover: a finished run leaves nothing young alive"
       `Quick test_finished_run_leaves_nothing_young;
+    Alcotest.test_case "goal test and fingerprint: no minor words per row"
+      `Quick test_per_state_kernels_allocation;
   ]
